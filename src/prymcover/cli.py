@@ -8,6 +8,7 @@ deterministic JSON report (stdout by default, --out to a file).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -17,6 +18,7 @@ from .binforms import certify_form, integral_point_to_form, reduction_classify
 from .covers import beta_tuples, prym_curve_equation, reconstruct_h_f
 from .curves import CurvePoint, HyperCurve, compute_t
 from .errors import InternalCheckError
+from .finitefield import check_field_order
 from .points import (
     CandidateSet,
     IntegralitySpec,
@@ -126,6 +128,8 @@ def cmd_prym_check(args) -> int:
             raise ValueError(f"need odd primes, got {p}")
     if not primes:
         primes = (_usable_prime(certs[0], args.prime_budget),)
+    for p in primes:
+        check_field_order(p, 2 * curve.genus)
     cells: List[Dict[str, Any]] = []
     any_failed = False
     for i, cert in enumerate(certs):
@@ -311,9 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

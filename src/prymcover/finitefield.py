@@ -1,26 +1,49 @@
-"""Finite fields F_{p^i} with a deterministic modulus choice.
+"""Finite fields F_{p^i} with a deterministic modulus and generator.
 
 Elements are coefficient tuples (constant first) modulo the
 lexicographically least monic irreducible polynomial of degree i, where
 polynomials are ordered by their integer encoding sum(c_j * p^j) over the
-non-leading coefficients.  This pins the field representation, so point
-counts and any serialized element are reproducible across runs.
+non-leading coefficients.  The same encoding gives every element an integer
+code in [0, q), and the least primitive element in code order is the
+generator g.  This pins the field representation, so point counts and any
+serialized element are reproducible across runs.
 
-The quadratic character is computed definitionally, by raising to
-(q - 1) / 2; bulk consumers should use the cached square tables built by
-`chi_table` / `sqrt_table`, which the tests cross-check against the
-definitional power map.
+Bulk work runs on integer discrete logarithms to the base g (Zech
+logarithms, after Huber, IEEE Trans. IT 36, 1990): three `array('l')` tables,
+built once per field on first use, map log -> code, code -> log (with
+ZERO_LOG for zero) and i -> log(1 + g^i).  A product is a sum of logs modulo
+q - 1, a sum is one Zech lookup, the quadratic character is the parity of
+the log and a square root halves it.  The tuple arithmetic (`add`, `mul`,
+`pow`, `inv`) builds those tables and, with the definitional character
+`chi`, serves as the oracle the tests check them against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Tuple
+import operator
+from array import array
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import InternalCheckError
 from .scalars import is_prime
 
 Elem = Tuple[int, ...]
+
+# Largest field whose log tables are built (24 bytes per element, so 24 MB
+# at the limit).  It admits F_{31^4}, the largest field a genus-2 check
+# meets within the CLI's default prime budget.
+MAX_FIELD_ORDER = 1 << 20
+ZERO_LOG = -1  # the log of zero in every table
+
+
+def check_field_order(p: int, deg: int) -> None:
+    """Refuse F_{p^deg} past MAX_FIELD_ORDER from its size alone."""
+    q = p**deg
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(
+            f"F_{p}^{deg} has {q} elements, more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"
+        )
 
 
 def _poly_mulmod(a: List[int], b: List[int], mod: List[int], p: int) -> List[int]:
@@ -127,8 +150,31 @@ def least_irreducible(p: int, deg: int) -> Tuple[int, ...]:
     raise InternalCheckError(f"no irreducible of degree {deg} over F_{p}")
 
 
+class LogTables(NamedTuple):
+    """Discrete-log tables of F_q to its generator g.
+
+    exp[i] is the code of g^i for 0 <= i < q - 1; log[c] is the log of the
+    element with code c, ZERO_LOG for c = 0; zech[i] is log(1 + g^i),
+    ZERO_LOG where 1 + g^i = 0.
+    """
+
+    exp: array
+    log: array
+    zech: array
+
+    def add(self, la: int, lb: int) -> int:
+        """log(g^la + g^lb), where ZERO_LOG stands for zero."""
+        if la < 0:
+            return lb
+        if lb < 0:
+            return la
+        n = len(self.exp)
+        z = self.zech[(la - lb) % n]
+        return ZERO_LOG if z < 0 else (lb + z) % n
+
+
 class FiniteField:
-    """Arithmetic in F_{p^deg} on coefficient tuples."""
+    """F_{p^deg}: tuple arithmetic plus discrete-log tables built on demand."""
 
     def __init__(self, p: int, deg: int = 1):
         if not is_prime(p):
@@ -154,8 +200,8 @@ class FiniteField:
         self._red = red
         self._zero: Elem = (0,) * deg
         self._one: Elem = (1,) + (0,) * (deg - 1)
-        self._tables: Tuple[Dict[Elem, int], Dict[Elem, Elem]] = None  # type: ignore
-        self._elems: List[Elem] = None  # type: ignore
+        self._logs: Optional[LogTables] = None
+        self._orbits: Optional[Tuple[array, array]] = None
 
     def zero(self) -> Elem:
         return self._zero
@@ -167,22 +213,30 @@ class FiniteField:
         """Image of an integer under Z -> F_p -> F_{p^deg}."""
         return (a % self.p,) + (0,) * (self.deg - 1)
 
+    def code(self, a: Elem) -> int:
+        """Integer code sum a_j p^j of an element; an F_p element is its own code."""
+        c = 0
+        for d in reversed(a):
+            c = c * self.p + d
+        return c
+
+    def decode(self, c: int) -> Elem:
+        out = []
+        for _ in range(self.deg):
+            c, d = divmod(c, self.p)
+            out.append(d)
+        return tuple(out)
+
     def elements(self) -> Iterable[Elem]:
         return itertools.product(range(self.p), repeat=self.deg)
 
-    def element_list(self) -> List[Elem]:
-        """All elements as a cached list, in the deterministic product order."""
-        if self._elems is None:
-            self._elems = list(self.elements())
-        return self._elems
+    def element_list(self) -> range:
+        """Every element as its code, in code order; `decode` gives the tuple."""
+        return range(self.order)
 
     def add(self, a: Elem, b: Elem) -> Elem:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a: Elem, b: Elem) -> Elem:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a: Elem) -> Elem:
         p = self.p
@@ -235,34 +289,94 @@ class FiniteField:
             return -1
         raise InternalCheckError("character power landed outside {±1}")
 
-    def _build_tables(self) -> None:
-        sqrt: Dict[Elem, Elem] = {}
-        for z in self.elements():
-            if z == self._zero:
-                continue
-            s = self.mul(z, z)
-            if s not in sqrt:
-                sqrt[s] = z
-        chi: Dict[Elem, int] = {}
-        for z in self.elements():
-            if z == self._zero:
-                chi[z] = 0
-            else:
-                chi[z] = 1 if z in sqrt else -1
-        self._tables = (chi, sqrt)
+    def generator(self) -> Elem:
+        """The least primitive element in code order."""
+        n = self.order - 1
+        cofactors = [n // ell for ell in set(_small_prime_factors(n))]
+        for c in range(1, self.order):
+            g = self.decode(c)
+            if all(self.pow(g, e) != self._one for e in cofactors):
+                return g
+        raise InternalCheckError(f"no primitive element in {self!r}")
 
-    def chi_table(self) -> Dict[Elem, int]:
-        """Quadratic character of every element, from one squaring pass."""
-        if self._tables is None:
-            self._build_tables()
-        return self._tables[0]
+    def logs(self) -> LogTables:
+        """The exp, log and Zech tables, built on first use."""
+        if self._logs is None:
+            self._logs = self._build_logs()
+        return self._logs
 
-    def sqrt_table(self) -> Dict[Elem, Elem]:
-        """One square root of every nonzero square (first found in element
-        order; the other root is its negation)."""
-        if self._tables is None:
-            self._build_tables()
-        return self._tables[1]
+    def _build_logs(self) -> LogTables:
+        p, deg, q = self.p, self.deg, self.order
+        check_field_order(p, deg)
+        n = q - 1
+        g = self.generator()
+        # Multiplication by g is F_p-linear: row k of its matrix gives digit
+        # k of g*v from the digits of v.
+        cols = [self.mul(g, self.decode(p**j)) for j in range(deg)]
+        rows = list(zip(*cols))
+        weights = [p**k for k in range(deg)]
+        exp = array("l", [0]) * n
+        v = list(self._one)
+        for i in range(n):
+            exp[i] = sum(map(operator.mul, weights, v))
+            v = [sum(map(operator.mul, row, v)) % p for row in rows]
+        log = array("l", [ZERO_LOG]) * q
+        for i, c in enumerate(exp):
+            log[c] = i
+        if tuple(v) != self._one or log[0] != ZERO_LOG or log.count(ZERO_LOG) != 1:
+            raise InternalCheckError(
+                f"powers of the generator of {self!r} miss a nonzero element"
+            )
+        top = p - 1
+        zech = array("l", [log[c - top if c % p == top else c + 1] for c in exp])
+        return LogTables(exp, log, zech)
+
+    def frobenius_orbits(self) -> Tuple[array, array]:
+        """Orbits of x -> x^p on the nonzero elements, as logs: the orbit of
+        g^i is {g^(i p^j)}.  Returns (least log of each orbit, orbit size),
+        cached.  A polynomial with F_p coefficients maps each orbit into one
+        orbit, so sums over the field of functions of such values can visit
+        one representative per orbit, weighted by its size (Lidl and
+        Niederreiter, Finite Fields, ch. 5-6)."""
+        if self._orbits is None:
+            p, n = self.p, self.order - 1
+            seen = bytearray(n)
+            reps, sizes = array("l"), array("l")
+            for i in range(n):
+                if seen[i]:
+                    continue
+                j, size = i, 0
+                while not seen[j]:
+                    seen[j] = 1
+                    size += 1
+                    j = j * p % n
+                reps.append(i)
+                sizes.append(size)
+            if sum(sizes) != n or any(self.deg % s for s in sizes):
+                raise InternalCheckError(f"Frobenius orbits of {self!r} do not partition it")
+            self._orbits = (reps, sizes)
+        return self._orbits
+
+    def _check_odd(self) -> None:
+        if self.p == 2:
+            raise ValueError("the quadratic character needs odd characteristic")
+
+    def chi_table(self) -> array:
+        """Quadratic character of every element, indexed by code: the parity
+        of its log, 0 at zero."""
+        self._check_odd()
+        return array("b", [0 if l < 0 else 1 - 2 * (l & 1) for l in self.logs().log])
+
+    def sqrt_table(self) -> array:
+        """Code of one square root of every nonzero square, indexed by code
+        (half its log; the other root is the negation), -1 at zero and at
+        nonsquares."""
+        self._check_odd()
+        exp = self.logs().exp
+        out = array("l", [-1]) * self.order
+        for j in range(len(exp) // 2):
+            out[exp[2 * j]] = exp[j]
+        return out
 
     def __repr__(self) -> str:
         return f"FiniteField({self.p}, {self.deg})"
@@ -272,7 +386,7 @@ _FIELD_CACHE: Dict[Tuple[int, int], FiniteField] = {}
 
 
 def get_field(p: int, deg: int = 1) -> FiniteField:
-    """Shared field instances so character tables are built once per run."""
+    """Shared field instances so log tables are built once per run."""
     key = (p, deg)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FiniteField(p, deg)

@@ -10,21 +10,32 @@ at the roots x0 of F (where (y+h)(h-y) = (x-x_P)(x-x_Q)F^2 forces a double
 zero), the affine cover model is singular there, and the smooth model has
 1 + chi((x0-x_P)(x0-x_Q)*2h(x0)) points above each.  Above the base's place
 at infinity the even pole of y + h contributes 1 + chi(lc(h)*lc(f)^(g+1)).
-Character values come from cached square tables (one squaring pass), which
-the tests cross-check against the definitional power map.
+
+Every sum runs in the field's discrete-log representation: f, h and F are
+evaluated by Horner on logs (a product adds logs, a sum is a Zech lookup),
+chi is the parity of a log and a square root halves it.  All of f, h, F,
+x_P and x_Q lie in F_p, so each summand is constant on the Frobenius orbits
+{x^(p^j)}; the sums visit x = 0 and one representative per orbit, weighted
+by the orbit's size.  The tests check every count against a definitional
+enumeration on tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import CoverCertificate
 from .curves import HyperCurve
 from .errors import InternalCheckError
-from .finitefield import FiniteField, get_field, least_nonresidue
+from .finitefield import (
+    ZERO_LOG,
+    FiniteField,
+    check_field_order,
+    get_field,
+    least_nonresidue,
+)
 from .polys import Poly, poly_disc
 from .scalars import as_rational, is_prime, rat_ord_p
 
@@ -104,20 +115,38 @@ def poly_mod_p(f: Poly, p: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=24)
-def _values_over_field(p: int, deg: int, coeffs: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """Evaluate a mod-p polynomial at every element of F_{p^deg} by Horner;
-    results align with field.element_list()."""
-    field = get_field(p, deg)
-    embedded = [field.embed(c) for c in reversed(coeffs)]
-    mul = field.mul
-    zero = field.zero()
+def _chi(lg: int) -> int:
+    """Quadratic character of the element with log lg.  q - 1 is even, so
+    the parity of a log that is not yet reduced mod q - 1 is still right."""
+    return 0 if lg < 0 else 1 - 2 * (lg & 1)
+
+
+def _check_fp(p: int, values: Sequence[int]) -> None:
+    """Orbit weighting is only valid for data fixed by Frobenius."""
+    if not all(isinstance(v, int) and 0 <= v < p for v in values):
+        raise InternalCheckError("orbit-weighted counts need F_p data")
+
+
+def _orbit_logs(field: FiniteField, coeffs: Sequence[int]) -> List[int]:
+    """Logs of a polynomial with F_p coefficients (constant first) at g^r for
+    every Frobenius orbit representative r, by Horner on logs."""
+    _check_fp(field.p, coeffs)
+    tabs = field.logs()
+    log, zech = tabs.log, tabs.zech
+    n = field.order - 1
+    lcs = [log[c] for c in reversed(coeffs)]
+    lead, rest = lcs[0], lcs[1:]
     out = []
-    for x in field.element_list():
-        acc = zero
-        for c in embedded:
-            acc = mul(acc, x)
-            acc = tuple((a + b) % p for a, b in zip(acc, c))
+    for lx in field.frobenius_orbits()[0]:
+        acc = lead
+        for lc in rest:
+            if acc < 0:
+                acc = lc
+            elif lc >= 0:
+                z = zech[(acc + lx - lc) % n]
+                acc = ZERO_LOG if z < 0 else (lc + z) % n
+            else:
+                acc = (acc + lx) % n
         out.append(acc)
     return out
 
@@ -127,16 +156,17 @@ def count_points(ffc: FFCurve, deg: int = 1) -> int:
     character sum plus one point above infinity for an odd-degree model, or
     1 + chi(lead) points for an even-degree model."""
     field = get_field(ffc.p, deg)
-    chi = field.chi_table()
-    vals = _values_over_field(ffc.p, deg, ffc.coeffs())
-    n = 0
-    for v in vals:
-        n += 1 + chi[v]
+    coeffs = ffc.coeffs()
+    lfs = _orbit_logs(field, coeffs)
+    log = field.logs().log
+    total = field.order + _chi(log[coeffs[0]])
+    for size, lf in zip(field.frobenius_orbits()[1], lfs):
+        total += size * _chi(lf)
     if ffc.degree % 2 == 1:
-        n += 1
+        total += 1
     else:
-        n += 1 + chi[field.embed(ffc.lead)]
-    return n
+        total += 1 + _chi(log[ffc.lead])
+    return total
 
 
 @dataclass(frozen=True)
@@ -230,44 +260,53 @@ def count_double_cover(cover: ReducedCover, deg: int = 1) -> int:
     """
     base = cover.base
     p = base.p
+    _check_fp(p, (cover.x_p, cover.x_q))
     field = get_field(p, deg)
-    chi = field.chi_table()
-    sqrt = field.sqrt_table()
-    neg, mul = field.neg, field.mul
-    zero = field.zero()
-    fvals = _values_over_field(p, deg, base.coeffs())
-    hvals = _values_over_field(p, deg, cover.h)
-    gvals = _values_over_field(p, deg, cover.big_f)
-    elems = field.element_list()
-    xp_e = field.embed(cover.x_p)
-    xq_e = field.embed(cover.x_q)
-    two = field.embed(2)
-    total = 0
-    for idx, x in enumerate(elems):
-        fx = fvals[idx]
-        hx = hvals[idx]
-        c = chi[fx]
-        if c < 0:
-            continue
-        if c == 0:
+    tabs = field.logs()
+    log, zech = tabs.log, tabs.zech
+    n = field.order - 1
+    half = n // 2
+    lneg_xp, lneg_xq = log[-cover.x_p % p], log[-cover.x_q % p]
+    l2 = log[2 % p]
+
+    def fiber(lx: int, lf: int, lh: int, lg: int) -> int:
+        """Points above x = g^lx (x = 0 for lx = ZERO_LOG) given the logs of
+        f(x), h(x) and F(x)."""
+        if lf < 0:
             # y = 0; h(x) = 0 here would force f(x) = h(x)^2 = 0 too, and
             # either way the fiber has 1 + chi(h(x)) points.
-            total += 1 + chi[hx]
-            continue
-        y = sqrt[fx]
-        for yy in (y, neg(y)):
-            u = tuple((a + b) % p for a, b in zip(yy, hx))
-            if u != zero:
-                total += 1 + chi[u]
-            elif gvals[idx] == zero:
-                d1 = tuple((a - b) % p for a, b in zip(x, xp_e))
-                d2 = tuple((a - b) % p for a, b in zip(x, xq_e))
-                w = mul(mul(d1, d2), mul(two, hx))
-                total += 1 + chi[w]
+            return 1 + _chi(lh)
+        if lf & 1:
+            return 0
+        pts = 0
+        for ly in (lf >> 1, (lf >> 1) + half):
+            if lh < 0:
+                pts += 1 + _chi(ly)
             else:
-                total += 1
+                z = zech[(ly - lh) % n]
+                if z >= 0:
+                    pts += 1 + _chi(lh + z)
+                elif lg < 0:
+                    # y + h(x) = 0 above a root of F: the singular point
+                    w = (
+                        _chi(tabs.add(lx, lneg_xp))
+                        * _chi(tabs.add(lx, lneg_xq))
+                        * _chi(l2)
+                        * _chi(lh)
+                    )
+                    pts += 1 + w
+                else:
+                    pts += 1
+        return pts
+
+    coeffs = (base.coeffs(), cover.h, cover.big_f)
+    logs = [_orbit_logs(field, c) for c in coeffs]
+    total = fiber(ZERO_LOG, *(log[c[0]] for c in coeffs))
+    reps, sizes = field.frobenius_orbits()
+    for lx, size, lf, lh, lg in zip(reps, sizes, *logs):
+        total += size * fiber(lx, lf, lh, lg)
     lam = cover.h[-1] * pow(base.lead, base.genus + 1, p) % p
-    total += 1 + chi[field.embed(lam)]
+    total += 1 + _chi(log[lam])
     return total
 
 
@@ -368,20 +407,27 @@ class PrymCheckReport:
     nonresidue: int
 
 
+def _prym_roots(cert: CoverCertificate) -> Tuple[Fraction, ...]:
+    return (Fraction(1),) + tuple(as_rational(b) for b in cert.beta.betas)
+
+
+def _reduce_for_check(cert: CoverCertificate, p: int) -> Tuple[Optional[ReducedCover], str]:
+    """The reduced cover and "" when p is usable, else None and the
+    obstruction."""
+    try:
+        cover = reduce_cover(cert, p)
+    except ValueError as exc:
+        return None, str(exc)
+    try:
+        reduce_curve(HyperCurve(_prym_roots(cert), Fraction(1)), p)
+    except ValueError as exc:
+        return None, f"prym model: {exc}"
+    return cover, ""
+
+
 def prym_check_obstruction(cert: CoverCertificate, p: int) -> str:
     """Why the product identity cannot be tested at p; empty string if good."""
-    try:
-        reduce_cover(cert, p)
-    except ValueError as exc:
-        return str(exc)
-    try:
-        t = cert.beta
-        prym_roots = [Fraction(1)] + [as_rational(b) for b in t.betas]
-        prym = HyperCurve(tuple(prym_roots), Fraction(1))
-        reduce_curve(prym, p)
-    except ValueError as exc:
-        return f"prym model: {exc}"
-    return ""
+    return _reduce_for_check(cert, p)[1]
 
 
 def prym_product_check(cert: CoverCertificate, p: int) -> PrymCheckReport:
@@ -390,32 +436,33 @@ def prym_product_check(cert: CoverCertificate, p: int) -> PrymCheckReport:
     Counts the base curve over F_{p^i} (i <= g), the double cover over
     F_{p^i} (i <= 2g), and both quadratic twists of the Prym-side model,
     then compares Jacobian orders.  Raises ValueError when p is unusable,
-    with the obstruction in the message.
+    with the obstruction in the message, and when F_{p^(2g)} is larger than
+    MAX_FIELD_ORDER, before any field is built.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     t = cert.beta
+    g = t.curve.genus
+    check_field_order(p, 2 * g)
     for b in t.betas:
         try:
             as_rational(b)
         except ValueError:
             raise ValueError("product check needs a rational beta tuple") from None
-    reason = prym_check_obstruction(cert, p)
+    cover, reason = _reduce_for_check(cert, p)
     if reason:
         raise ValueError(f"prime {p} unusable: {reason}")
-    g = t.curve.genus
-    cover = reduce_cover(cert, p)
     base_ff = cover.base
     counts_base = tuple(count_points(base_ff, i) for i in range(1, g + 1))
     counts_cover = tuple(count_double_cover(cover, i) for i in range(1, 2 * g + 1))
     order_base = l_polynomial(p, counts_base, g).order()
     order_cover = l_polynomial(p, counts_cover, 2 * g).order()
     nr = least_nonresidue(p)
-    prym_roots = [Fraction(1)] + [as_rational(b) for b in t.betas]
+    prym_roots = _prym_roots(cert)
     counts_prym: Dict[str, Tuple[int, ...]] = {}
     orders_prym: Dict[str, int] = {}
     for label, lead in (("1", 1), (str(nr), nr)):
-        ff = reduce_curve(HyperCurve(tuple(prym_roots), Fraction(lead)), p)
+        ff = reduce_curve(HyperCurve(prym_roots, Fraction(lead)), p)
         cs = tuple(count_points(ff, i) for i in range(1, g + 1))
         counts_prym[label] = cs
         orders_prym[label] = l_polynomial(p, cs, g).order()

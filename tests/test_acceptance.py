@@ -21,12 +21,16 @@ cells at p = 17.  test_criterion_3_strict_twist_uniqueness keeps the
 literal one-twist-per-cell claim visible as a strict expected failure.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
+import prymcover
 from prymcover.binforms import (
     BinaryForm,
     FormCertificate,
@@ -54,7 +58,7 @@ from prymcover.points import (
 )
 from prymcover.polys import Poly, RatFunc
 from prymcover.scalars import rat_ord_p
-from prymcover.zeta import prym_product_check
+from prymcover.zeta import l_polynomial, prym_product_check
 
 E1 = make_curve([F(-1, 3), F(9, 8), F(25, 24)])
 E1_P = CurvePoint.affine(F(1), F(1, 12))
@@ -202,6 +206,46 @@ def test_criterion_3_twist_identity(g2_twist_reports):
     assert e1_cells == 12
     assert e1_slowest < 1.0
     assert g2_slowest < 120.0
+
+
+def _lpoly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _full_identity_twists(rep, genus):
+    """Twists c with L_cover(T) = L_base(T) * L_prym,c(T) coefficient by
+    coefficient, from the counts in the report."""
+    p = rep.prime
+    base = l_polynomial(p, rep.counts_base, genus).coeffs
+    cover = l_polynomial(p, rep.counts_cover, 2 * genus).coeffs
+    return tuple(
+        label
+        for label, counts in sorted(rep.counts_prym.items())
+        if _lpoly_product(base, l_polynomial(p, counts, genus).coeffs) == cover
+    )
+
+
+def test_criterion_3_full_l_polynomial_identity(g2_twist_reports):
+    # Equal Jacobian orders compare only the values at T = 1; the whole
+    # numerators must factor too, and in exactly the order-matched twists.
+    reports, _ = g2_twist_reports
+    cells = [(1, prym_product_check(reconstruct_h_f(t), p))
+             for t in beta_tuples(E1, E1_P, E1_Q) for p in E1_GOOD_PRIMES]
+    cells += [(2, rep) for rep in reports]
+    failures = []
+    for g, rep in cells:
+        full = _full_identity_twists(rep, g)
+        if full != tuple(sorted(rep.matched_twists)):
+            failures.append(
+                "genus %d at p=%d: orders match %r, L-polynomials %r"
+                % (g, rep.prime, rep.matched_twists, full)
+            )
+    assert len(cells) == 28
+    assert not failures, failures
 
 
 @pytest.mark.xfail(
@@ -457,8 +501,9 @@ def test_criterion_8_elimination_nonzero():
     assert elapsed < 30.0
 
 
-def test_criterion_9_cli_determinism(tmp_path):
-    t0 = time.perf_counter()
+def _criterion_9_commands(tmp_path):
+    """Input files for every subcommand, plus a certificate written by an
+    in-process `certify`; returns (name, argv) pairs."""
     e1_file = tmp_path / "e1.json"
     e1_file.write_text(dumps(curve_to_json(E1)))
     g2_file = tmp_path / "g2.json"
@@ -530,7 +575,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         ),
         ("compute-t", ["compute-t", str(g2_file), "--num", "1", "--den", "0,1"]),
     ]
+    return commands
 
+
+def test_criterion_9_cli_determinism(tmp_path):
+    t0 = time.perf_counter()
+    commands = _criterion_9_commands(tmp_path)
     failures = []
     for name, argv in commands:
         outputs = []
@@ -551,4 +601,25 @@ def test_criterion_9_cli_determinism(tmp_path):
         "all %d CLI subcommands produced byte-identical reports across repeated"
         " runs in %.2fs" % (len(commands), elapsed),
     )
+    assert not failures, failures
+
+
+def test_criterion_9_in_process_matches_fresh_process(tmp_path):
+    # cli.main keeps one argparse parser per process; successive calls across
+    # subcommands must still write what a fresh process writes.
+    commands = _criterion_9_commands(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prymcover.__file__)))
+    path = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    failures = []
+    for name, argv in commands:
+        here, fresh = tmp_path / (name + "_here.json"), tmp_path / (name + "_fresh.json")
+        assert main(argv + ["--out", str(here)]) == 0, name
+        proc = subprocess.run(
+            [sys.executable, "-m", "prymcover.cli"] + argv + ["--out", str(fresh)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        if here.read_bytes() != fresh.read_bytes():
+            failures.append(name)
     assert not failures, failures

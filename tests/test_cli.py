@@ -92,6 +92,17 @@ class TestPrymCheck:
         ])
         assert code == 2
 
+    def test_field_too_large_exits_2(self, capsys, g2_file):
+        # F_{101^4} would have about 10^8 elements: refused before any cell
+        code = main([
+            "prym-check", g2_file, "--p=1,1/144", "--q=0,35/48",
+            "--primes", "17,101",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "F_101^4 has 104060401 elements" in captured.err
+
     def test_budget_autopick(self, capsys, e1_file):
         code, out = _run(capsys, [
             "prym-check", e1_file, "--p", "1,1/12", "--q", "0,5/8",

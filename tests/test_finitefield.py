@@ -1,8 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prymcover.errors import InternalCheckError
 from prymcover.finitefield import (
+    MAX_FIELD_ORDER,
+    ZERO_LOG,
     FiniteField,
+    check_field_order,
     get_field,
     least_irreducible,
     least_nonresidue,
@@ -89,26 +93,130 @@ class TestCharacter:
             assert f.chi(f.embed(a)) == expected
 
     def test_tables_match_definition(self):
-        for p, deg in ((13, 1), (5, 2), (13, 2), (3, 3)):
+        for p, deg in ((13, 1), (5, 2), (13, 2), (3, 3), (17, 2)):
             f = get_field(p, deg)
             table = f.chi_table()
+            assert len(table) == f.order
             for z in f.elements():
-                assert table[z] == f.chi(z)
+                assert table[f.code(z)] == f.chi(z)
 
     def test_sqrt_table(self):
-        f = get_field(17, 2)
-        sq = f.sqrt_table()
-        assert len(sq) == (f.order - 1) // 2
-        for s, r in sq.items():
-            assert f.mul(r, r) == s
+        for p, deg in LOG_FIELDS:
+            f = get_field(p, deg)
+            sq = f.sqrt_table()
+            chi = f.chi_table()
+            assert len(sq) == f.order
+            roots = [(s, r) for s, r in enumerate(sq) if r != -1]
+            assert len(roots) == (f.order - 1) // 2
+            for s, r in roots:
+                assert f.mul(f.decode(r), f.decode(r)) == f.decode(s)
+            for s, r in enumerate(sq):
+                assert (r != -1) == (chi[s] == 1), (p, deg, s)
 
     def test_square_counts(self):
         f = get_field(13, 2)
-        table = f.chi_table()
-        assert sum(1 for v in table.values() if v == 1) == (169 - 1) // 2
-        assert sum(1 for v in table.values() if v == -1) == (169 - 1) // 2
-        assert sum(1 for v in table.values() if v == 0) == 1
+        table = list(f.chi_table())
+        assert table.count(1) == (169 - 1) // 2
+        assert table.count(-1) == (169 - 1) // 2
+        assert table.count(0) == 1
 
+    def test_views_need_odd_characteristic(self):
+        with pytest.raises(ValueError):
+            FiniteField(2, 3).chi_table()
+
+
+LOG_FIELDS = ((5, 2), (13, 2), (3, 3), (17, 2))
+
+
+def _mult_order(f, a):
+    k, x = 1, a
+    while x != f.one():
+        x = f.mul(x, a)
+        k += 1
+    return k
+
+
+class TestLogTables:
+    def test_generator_is_least_primitive(self):
+        for p, deg in LOG_FIELDS:
+            f = get_field(p, deg)
+            g = f.generator()
+            assert _mult_order(f, g) == f.order - 1
+            for c in range(1, f.code(g)):
+                assert _mult_order(f, f.decode(c)) < f.order - 1
+
+    def test_exp_log_bijection(self):
+        for p, deg in LOG_FIELDS:
+            f = get_field(p, deg)
+            tabs = f.logs()
+            assert sorted(tabs.exp) == list(range(1, f.order))
+            assert tabs.log[0] == ZERO_LOG
+            g = f.generator()
+            x = f.one()
+            for i, c in enumerate(tabs.exp):
+                assert f.decode(c) == x
+                assert tabs.log[c] == i
+                x = f.mul(x, g)
+            assert x == f.one()
+
+    def test_zech_matches_tuple_add(self):
+        for p, deg in LOG_FIELDS:
+            f = get_field(p, deg)
+            tabs = f.logs()
+            assert len(tabs.zech) == f.order - 1
+            for i, c in enumerate(tabs.exp):
+                s = f.add(f.one(), f.decode(c))
+                if s == f.zero():
+                    assert tabs.zech[i] == ZERO_LOG
+                else:
+                    assert f.decode(tabs.exp[tabs.zech[i]]) == s
+
+    def test_log_add_every_pair(self):
+        f = get_field(5, 2)
+        tabs = f.logs()
+        logs = [ZERO_LOG] + list(range(f.order - 1))
+
+        def elem(lg):
+            return f.zero() if lg == ZERO_LOG else f.decode(tabs.exp[lg])
+
+        for la in logs:
+            for lb in logs:
+                assert elem(tabs.add(la, lb)) == f.add(elem(la), elem(lb))
+
+    def test_build_rejects_a_non_generator(self):
+        f = FiniteField(5, 2)
+        f.generator = lambda: f.embed(4)  # order 2, not primitive
+        with pytest.raises(InternalCheckError):
+            f.logs()
+
+    def test_frobenius_orbits(self):
+        for p, deg in LOG_FIELDS:
+            f = get_field(p, deg)
+            exp = f.logs().exp
+            reps, sizes = f.frobenius_orbits()
+            seen = set()
+            for r, size in zip(reps, sizes):
+                x = f.decode(exp[r])
+                orbit = {x}
+                y = f.pow(x, p)
+                while y != x:
+                    orbit.add(y)
+                    y = f.pow(y, p)
+                assert len(orbit) == size
+                assert min(f.logs().log[f.code(z)] for z in orbit) == r
+                assert not orbit & seen
+                seen |= orbit
+            assert len(seen) == f.order - 1
+
+
+class TestFieldSizeGuard:
+    def test_limit_admits_the_default_budget(self):
+        assert 31**4 <= MAX_FIELD_ORDER < 37**4
+        check_field_order(31, 4)
+
+    def test_refused_from_the_estimate(self):
+        with pytest.raises(ValueError, match=r"F_37\^4 has 1874161 elements"):
+            check_field_order(37, 4)
 
 class TestNonresidue:
     def test_values(self):

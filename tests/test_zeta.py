@@ -4,7 +4,8 @@ import pytest
 
 from prymcover.covers import beta_tuples, reconstruct_h_f
 from prymcover.curves import CurvePoint, make_curve
-from prymcover.finitefield import get_field
+from prymcover.errors import InternalCheckError
+from prymcover.finitefield import _FIELD_CACHE, get_field
 from prymcover.zeta import (
     FFCurve,
     count_double_cover,
@@ -14,6 +15,7 @@ from prymcover.zeta import (
     poly_mod_p,
     prym_check_obstruction,
     prym_product_check,
+    ReducedCover,
     reduce_cover,
     reduce_curve,
 )
@@ -21,6 +23,9 @@ from prymcover.zeta import (
 E1 = make_curve([F(-1, 3), F(9, 8), F(25, 24)])
 E1_P = CurvePoint.affine(1, F(1, 12))
 E1_Q = CurvePoint.affine(0, F(5, 8))
+G2 = make_curve([F(-1, 3), F(9, 8), F(25, 24), F(4, 3), F(49, 48)])
+G2_P = CurvePoint.affine(1, F(1, 144))
+G2_Q = CurvePoint.affine(0, F(35, 48))
 
 
 def brute_count(ffc: FFCurve, deg: int) -> int:
@@ -38,8 +43,51 @@ def brute_count(ffc: FFCurve, deg: int) -> int:
     if ffc.degree % 2 == 1:
         total += 1
     else:
-        total += 1 + field.chi_table()[field.embed(ffc.lead)]
+        total += 1 + field.chi_table()[field.code(field.embed(ffc.lead))]
     return total
+
+
+def _tuple_horner(field, coeffs, x):
+    acc = field.zero()
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), field.embed(c))
+    return acc
+
+
+def reference_count_points(ffc: FFCurve, deg: int) -> int:
+    """count_points by definition: 1 + chi(f(x)) over every x, with the
+    tuple arithmetic and the power-map character."""
+    field = get_field(ffc.p, deg)
+    total = sum(1 + field.chi(_tuple_horner(field, ffc.coeffs(), x)) for x in field.elements())
+    if ffc.degree % 2 == 1:
+        return total + 1
+    return total + 1 + field.chi(field.embed(ffc.lead))
+
+
+def reference_count_double_cover(cover, deg: int) -> int:
+    """count_double_cover by definition, over every x with the tuple
+    arithmetic: each y with y^2 = f(x) is found by enumeration, and the
+    fiber rule of the docstring is applied to y + h(x)."""
+    base, field = cover.base, get_field(cover.base.p, deg)
+    squares = [(y, field.mul(y, y)) for y in field.elements()]
+    xp, xq, two = field.embed(cover.x_p), field.embed(cover.x_q), field.embed(2)
+    total = 0
+    for x in field.elements():
+        fx = _tuple_horner(field, base.coeffs(), x)
+        hx = _tuple_horner(field, cover.h, x)
+        gx = _tuple_horner(field, cover.big_f, x)
+        for y in [y for y, s in squares if s == fx]:
+            u = field.add(y, hx)
+            if u != field.zero():
+                total += 1 + field.chi(u)
+            elif gx == field.zero():
+                d1 = field.add(x, field.neg(xp))
+                d2 = field.add(x, field.neg(xq))
+                total += 1 + field.chi(field.mul(field.mul(d1, d2), field.mul(two, hx)))
+            else:
+                total += 1
+    lam = cover.h[-1] * pow(base.lead, base.genus + 1, base.p)
+    return total + 1 + field.chi(field.embed(lam))
 
 
 class TestReduce:
@@ -179,6 +227,51 @@ class TestDoubleCover:
             reduce_cover(cert, 7)
 
 
+class TestAgainstDefinition:
+    """The log-table and Frobenius-orbit counts against the definitional
+    references above, over fields of at most 343 elements."""
+
+    def _covers(self, curve, p_pt, q_pt, p):
+        return [reduce_cover(reconstruct_h_f(t), p) for t in beta_tuples(curve, p_pt, q_pt)]
+
+    def _check(self, covers, degrees):
+        for k, cover in enumerate(covers):
+            for deg in degrees:
+                assert count_double_cover(cover, deg) == reference_count_double_cover(
+                    cover, deg
+                ), (cover.base.p, k, deg)
+                assert count_points(cover.base, deg) == reference_count_points(
+                    cover.base, deg
+                ), (cover.base.p, k, deg)
+
+    def test_e1_covers(self):
+        for p in (13, 17):
+            self._check(self._covers(E1, E1_P, E1_Q, p), (1, 2))
+
+    def test_g2_covers(self):
+        self._check(self._covers(G2, G2_P, G2_Q, 17), (1, 2))
+
+    def test_orbits_of_size_three(self):
+        from prymcover.covers import curve_through_betas
+
+        curve, p_pt, q_pt = curve_through_betas((F(2), F(3), F(7)))
+        self._check(self._covers(curve, p_pt, q_pt, 7), (1, 2, 3))
+
+    def test_prym_models_and_even_degree(self):
+        for ffc, deg in (
+            (FFCurve(17, (0, 1, 3, 7, 12, 16), 3), 2),
+            (FFCurve(3, (0, 1, 2)), 5),
+            (FFCurve(5, (0, 1, 2, 4), 2), 3),
+        ):
+            assert count_points(ffc, deg) == reference_count_points(ffc, deg), (ffc, deg)
+
+    def test_non_fp_data_rejected(self):
+        cover = self._covers(E1, E1_P, E1_Q, 13)[0]
+        bad = ReducedCover(cover.base, cover.h, cover.big_f, 13, cover.x_q)
+        with pytest.raises(InternalCheckError):
+            count_double_cover(bad, 1)
+
+
 class TestLPolynomial:
     def test_genus1_example(self):
         lp = l_polynomial(5, [8], 1)
@@ -259,3 +352,11 @@ class TestPrymProductCheck:
         t.validate()
         cert = reconstruct_h_f(t)
         assert prym_check_obstruction(cert, 7) == "marked points collide mod p"
+
+    def test_field_size_guard_uses_the_estimate(self):
+        # G2 at p = 101 would count the cover over F_{101^4}: about 10^8
+        # elements.  The check refuses it before any field exists.
+        cert = reconstruct_h_f(beta_tuples(G2, G2_P, G2_Q)[0])
+        with pytest.raises(ValueError, match=r"F_101\^4 has 104060401 elements"):
+            prym_product_check(cert, 101)
+        assert not [key for key in _FIELD_CACHE if key[0] == 101]
