@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
+from . import modp
 from .curves import CurvePoint, HyperCurve, is_on_curve
 from .errors import InternalCheckError
-from .polys import Poly, clear_denominators, poly_disc
+from .polys import Poly
 from .scalars import Rat, as_rational, is_prime, rat_ord_p, rational_prime_support
 
 
@@ -108,56 +109,24 @@ class BinaryForm:
         factors.extend([(Fraction(1), Fraction(0))] * low)
         work = Poly(poly[low:])
         lam = work.lead
-        for root in _rational_roots_with_multiplicity(work):
-            factors.append((Fraction(root.denominator), Fraction(root.numerator)))
-            lam /= root.denominator
+        for root in modp.rational_roots(work):
+            lin = Poly([-root.numerator, root.denominator])
+            mult = 0
+            while True:
+                quot, rem = divmod(work, lin)
+                if not rem.is_zero():
+                    break
+                work, mult = quot, mult + 1
+            if not mult:
+                raise InternalCheckError("exact root division left a remainder")
+            factors.extend([(Fraction(root.denominator), Fraction(root.numerator))] * mult)
+            lam /= root.denominator**mult
         if len(factors) != r:
             raise ValueError("form is not split over the base field")
         form = cls(tuple(factors), lam)
         if form.coeffs() != tuple(dense):
             raise InternalCheckError("factored form does not re-expand to input")
         return form
-
-
-def _divisors(n: int) -> List[int]:
-    from .scalars import factorize
-
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def _rational_roots_with_multiplicity(f: Poly) -> List[Fraction]:
-    """All rational roots of f, each repeated by multiplicity; raises
-    ValueError when f does not split into rational linear factors."""
-    roots: List[Fraction] = []
-    work = f
-    while work.degree >= 1:
-        while work.coefficient(0) == 0:
-            roots.append(Fraction(0))
-            work = Poly(work.coeffs[1:])
-        if work.degree < 1:
-            break
-        ints, _ = clear_denominators(work)
-        cands = set()
-        for a in _divisors(abs(ints[0])):
-            for b in _divisors(abs(ints[-1])):
-                cands.add(Fraction(a, b))
-                cands.add(Fraction(-a, b))
-        hit = None
-        for cand in sorted(cands):
-            if work(cand) == 0:
-                hit = cand
-                break
-        if hit is None:
-            raise ValueError("form is not split over the base field")
-        lin = Poly([-hit, Fraction(1)])
-        work, rem = divmod(work, lin)
-        if not rem.is_zero():
-            raise InternalCheckError("exact root division left a remainder")
-        roots.append(hit)
-    return roots
 
 
 def bf_disc(form: BinaryForm) -> Fraction:
@@ -545,44 +514,6 @@ class ReductionReport:
     components: Tuple[ResidueCurve, ...]
 
 
-def _poly_mod(coeffs: Sequence[Fraction], p: int) -> List[int]:
-    out = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise InternalCheckError("certificate form is not p-integral")
-        out.append(c.numerator * pow(c.denominator, p - 2, p) % p)
-    return out
-
-
-def _rem_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
-    a = [c % p for c in a]
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        factor = a[-1] * inv % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] = (a[i + shift] - factor * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
-
-
-def _mod_p_squarefree(coeffs: Sequence[int], p: int) -> bool:
-    """gcd(f, f') constant over F_p."""
-    a = [c % p for c in coeffs]
-    while a and a[-1] == 0:
-        a.pop()
-    b = [(i * c) % p for i, c in enumerate(a)][1:]
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        a, b = b, _rem_mod_p(a, b, p)
-    return len(a) == 1
-
-
 def reduction_classify(cert: FormCertificate, p: int) -> ReductionReport:
     """Classify the reduction at an odd prime outside S of the hyperelliptic
     curve attached to a certified even-degree form.
@@ -617,7 +548,7 @@ def reduction_classify(cert: FormCertificate, p: int) -> ReductionReport:
             if rat_ord_p(u, p) != 0:
                 raise InternalCheckError("special root valuation is not 2m")
             scale *= d
-            residues.append(u.numerator * pow(u.denominator, p - 2, p) % p)
+            residues.append(modp.rat_mod(u, p))
         elif d == 0:
             scale *= -gm
         else:
@@ -625,25 +556,24 @@ def reduction_classify(cert: FormCertificate, p: int) -> ReductionReport:
     if len(set(residues)) != n:
         raise InternalCheckError("special root residues collide")
     h = cofactor * Poly([scale])
-    h_mod = _poly_mod(h.coeffs, p)
+    try:
+        h_mod = modp.poly_mod(h, p)
+    except ValueError:
+        raise InternalCheckError("certificate form is not p-integral") from None
     if h_mod[-1] == 0:
         raise InternalCheckError("cofactor loses degree mod p")
     if h_mod[0] == 0:
         raise InternalCheckError("cofactor vanishes at zero mod p")
-    if not _mod_p_squarefree(h_mod, p):
+    if not modp.is_squarefree(h_mod, p):
         raise InternalCheckError("cofactor has repeated residue roots")
     c1 = ResidueCurve(p, (0,) + tuple(h_mod))
     c2_coeffs = [h_mod[0]]
     for u in residues:
-        nxt = [0] * (len(c2_coeffs) + 1)
-        for i, cc in enumerate(c2_coeffs):
-            nxt[i] = (nxt[i] - cc * u) % p
-            nxt[i + 1] = (nxt[i + 1] + cc) % p
-        c2_coeffs = nxt
+        c2_coeffs = modp.mul(c2_coeffs, [-u, 1], p)
     c2 = ResidueCurve(p, tuple(c2_coeffs))
-    if not _mod_p_squarefree(list(c1.coeffs), p):
+    if not modp.is_squarefree(c1.coeffs, p):
         raise InternalCheckError("first residue curve is singular")
-    if not _mod_p_squarefree(list(c2.coeffs), p):
+    if not modp.is_squarefree(c2.coeffs, p):
         raise InternalCheckError("second residue curve is singular")
     if c1.genus + c2.genus != g:
         raise InternalCheckError("residue genera do not sum to g")

@@ -6,7 +6,8 @@ polynomials are ordered by their integer encoding sum(c_j * p^j) over the
 non-leading coefficients.  The same encoding gives every element an integer
 code in [0, q), and the least primitive element in code order is the
 generator g.  This pins the field representation, so point counts and any
-serialized element are reproducible across runs.
+serialized element are reproducible across runs.  The modulus search tests
+irreducibility with the F_p polynomial kernel in `modp`.
 
 Bulk work runs on integer discrete logarithms to the base g (Zech
 logarithms, after Huber, IEEE Trans. IT 36, 1990): three `array('l')` tables,
@@ -25,8 +26,9 @@ import operator
 from array import array
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from . import modp
 from .errors import InternalCheckError
-from .scalars import is_prime
+from .scalars import factorize, is_prime
 
 Elem = Tuple[int, ...]
 
@@ -46,91 +48,17 @@ def check_field_order(p: int, deg: int) -> None:
         )
 
 
-def _poly_mulmod(a: List[int], b: List[int], mod: List[int], p: int) -> List[int]:
-    """Product of coefficient lists reduced by the monic modulus, all mod p."""
-    deg = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, deg - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(deg):
-                prod[k - deg + j] = (prod[k - deg + j] - c * mod[j]) % p
-    out = prod[:deg]
-    out += [0] * (deg - len(out))
-    return out
-
-
-def _poly_powmod(base: List[int], e: int, mod: List[int], p: int) -> List[int]:
-    deg = len(mod) - 1
-    result = [1] + [0] * (deg - 1)
-    b = list(base) + [0] * max(0, deg - len(base))
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, b, mod, p)
-        b = _poly_mulmod(b, b, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd_is_one(a: List[int], b: List[int], p: int) -> bool:
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            c = r[-1] * inv % p
-            if c:
-                shiftpos = len(r) - len(b)
-                for j in range(len(b)):
-                    r[shiftpos + j] = (r[shiftpos + j] - c * b[j]) % p
-            r.pop()
-            trim(r)
-            if not r:
-                break
-        a, b = b, trim(r)
-    return len(a) == 1
-
-
 def _is_irreducible(mod: List[int], p: int) -> bool:
     """Monic `mod` of degree d is irreducible over F_p iff x^(p^d) = x mod it
     and x^(p^(d/l)) - x is coprime to it for every prime l dividing d."""
     d = len(mod) - 1
     x = [0, 1]
-    xq = _poly_powmod(x, p**d, mod, p)
-    xq_t = list(xq)
-    while xq_t and xq_t[-1] == 0:
-        xq_t.pop()
-    if xq_t != [0, 1]:
+    if modp.powmod(x, p**d, mod, p) != x:
         return False
-    for ell in set(_small_prime_factors(d)):
-        sub = _poly_powmod(x, p ** (d // ell), mod, p)
-        sub[1] = (sub[1] - 1) % p
-        if not _poly_gcd_is_one(sub, mod, p):
-            return False
-    return True
-
-
-def _small_prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return all(
+        modp.gcd(modp.sub(modp.powmod(x, p ** (d // ell), mod, p), x, p), mod, p) == [1]
+        for ell in factorize(d)
+    )
 
 
 def least_irreducible(p: int, deg: int) -> Tuple[int, ...]:
@@ -292,7 +220,7 @@ class FiniteField:
     def generator(self) -> Elem:
         """The least primitive element in code order."""
         n = self.order - 1
-        cofactors = [n // ell for ell in set(_small_prime_factors(n))]
+        cofactors = [n // ell for ell in factorize(n)]
         for c in range(1, self.order):
             g = self.decode(c)
             if all(self.pow(g, e) != self._one for e in cofactors):

@@ -4,7 +4,8 @@ brute_force_points is the bounded-height oracle; recover_points matches a
 candidate list of even-degree cover models against the curve by equating
 cross-ratios of cover roots with cross-ratios of the square-root functions
 z_i = sqrt(x - alpha_i), eliminating the sign ambiguity with a 16-conjugate
-norm product.
+norm product.  The rational roots of each elimination polynomial come from
+`modp.rational_roots`, re-exported here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .covers import cross_ratio
 from .curves import CurvePoint, HyperCurve, hyperelliptic_involution, is_on_curve
 from .errors import InternalCheckError
-from .polys import PoleError, Poly, RatFunc, clear_denominators
+from .modp import rational_roots
+from .polys import PoleError, Poly, RatFunc
 from .scalars import Rat, as_rational, is_prime
 
 
@@ -210,167 +212,6 @@ def cr_elimination_poly(
     if poly.is_zero():
         raise InternalCheckError("cross-ratio elimination collapsed to zero")
     return poly
-
-
-def _fp_trim(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_monic(a: List[int], p: int) -> List[int]:
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _fp_rem(a: List[int], mod: List[int], p: int) -> List[int]:
-    # mod must be monic
-    a = a[:]
-    d = len(mod) - 1
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(d):
-                a[i - d + j] = (a[i - d + j] - c * mod[j]) % p
-        a[i] = 0
-    return _fp_trim(a)
-
-
-def _fp_mulmod(a: List[int], b: List[int], mod: List[int], p: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_rem(out, mod, p)
-
-
-def _fp_powmod(base: List[int], exp: int, mod: List[int], p: int) -> List[int]:
-    result = [1]
-    base = _fp_rem(base[:], mod, p)
-    while exp:
-        if exp & 1:
-            result = _fp_mulmod(result, base, mod, p)
-        exp >>= 1
-        if exp:
-            base = _fp_mulmod(base, base, mod, p)
-    return result
-
-
-def _fp_gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    a, b = _fp_trim(a[:]), _fp_trim(b[:])
-    while b:
-        b = _fp_monic(b, p)
-        a, b = b, _fp_rem(a, b, p)
-    return _fp_monic(a, p) if a else []
-
-
-def _fp_div_exact(a: List[int], b: List[int], p: int) -> List[int]:
-    # b must be monic and divide a
-    a = [c % p for c in a]
-    d = len(b) - 1
-    out = [0] * (len(a) - d)
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i]
-        out[i - d] = c
-        if c:
-            for j in range(d + 1):
-                a[i - d + j] = (a[i - d + j] - c * b[j]) % p
-    if any(a):
-        raise InternalCheckError("modular factor division left a remainder")
-    return _fp_trim(out)
-
-
-def _fp_roots(ints: List[int], p: int) -> List[int]:
-    """Distinct roots in F_p of an integer polynomial whose lead is a p-unit."""
-    w = _fp_monic([c % p for c in ints], p)
-    ident = _fp_powmod([0, 1], p, w, p)
-    ident = ident[:] + [0] * (2 - len(ident))
-    ident[1] = (ident[1] - 1) % p
-    stack = [_fp_gcd(_fp_trim(ident), w, p)]
-    roots: List[int] = []
-    delta = 0
-    while stack:
-        cur = stack.pop()
-        deg = len(cur) - 1
-        if deg <= 0:
-            continue
-        if deg == 1:
-            roots.append(-cur[0] % p)
-            continue
-        # cur splits into distinct linear factors; separate them by the
-        # quadratic character of root + delta, sweeping shifts until one
-        # lands each side of the split
-        while True:
-            delta += 1
-            if delta >= p:
-                raise InternalCheckError("root splitting ran out of shifts")
-            h = _fp_powmod([delta % p, 1], (p - 1) // 2, cur, p)
-            h = h[:] if h else [0]
-            h[0] = (h[0] - 1) % p
-            part = _fp_gcd(_fp_trim(h), cur, p)
-            if 0 < len(part) - 1 < deg:
-                stack.append(part)
-                stack.append(_fp_div_exact(cur, part, p))
-                break
-    return roots
-
-
-def _next_prime_above(n: int) -> int:
-    cand = n + 1
-    if cand % 2 == 0:
-        cand += 1
-    while not is_prime(cand):
-        cand += 2
-    return cand
-
-
-def _rat_reconstruct(
-    residue: int, modulus: int, num_bound: int, den_bound: int
-) -> Optional[Fraction]:
-    r0, r1 = modulus, residue % modulus
-    t0, t1 = 0, 1
-    while r1 > num_bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0:
-        return None
-    num, den = r1, t1
-    if den < 0:
-        num, den = -num, -den
-    if den > den_bound or math.gcd(num, den) != 1:
-        return None
-    return Fraction(num, den)
-
-
-def rational_roots(f: Poly) -> List[Fraction]:
-    """The distinct rational roots of a nonzero polynomial, ascending."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has every root")
-    roots = set()
-    coeffs = list(f.coeffs)
-    while coeffs[0] == 0:
-        roots.add(Fraction(0))
-        coeffs = coeffs[1:]
-    work = Poly(coeffs)
-    if work.degree == 1:
-        roots.add(-work.coeffs[0] / work.coeffs[1])
-    elif work.degree >= 2:
-        # any root a/b in lowest terms has a dividing the constant term and
-        # b dividing the lead, so a single prime beyond twice their product
-        # recovers every root from its residue by rational reconstruction
-        ints, _ = clear_denominators(work)
-        num_bound = abs(ints[0])
-        den_bound = abs(ints[-1])
-        p = _next_prime_above(max(2 * num_bound * den_bound, 257))
-        for r in _fp_roots(ints, p):
-            cand = _rat_reconstruct(r, p, num_bound, den_bound)
-            if cand is not None and work(cand) == 0:
-                roots.add(cand)
-    return sorted(roots)
 
 
 def _first_rational_pole(curve: HyperCurve, func: RatFunc) -> CurvePoint:

@@ -3,8 +3,10 @@ discriminants, and reduced rational functions.
 
 Coefficients are Fractions or MQElems (any mix).  The zero polynomial has
 degree -infinity so that degree identities hold without special cases.
-Products switch to Karatsuba once operands exceed degree 32; below that the
-schoolbook loop is faster on exact scalars.
+Products use the schoolbook loop, skipping zero coefficients: every
+product the package forms has an operand of at most 32 coefficients, below
+which subquadratic methods do not pay on exact scalars.
+Polynomials over F_p live in `modp`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from .scalars import MQElem, Scalar, as_rational, scalar_inv
 
 NEG_INFINITY = -math.inf
-
-_KARATSUBA_AT = 32
 
 
 def _coerce(c) -> Scalar:
@@ -216,48 +216,13 @@ class Poly:
 
 
 def _mul_seq(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
-    if min(len(a), len(b)) <= _KARATSUBA_AT:
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return out
-    half = min(len(a), len(b)) // 2
-    a0, a1 = a[:half], a[half:]
-    b0, b1 = b[:half], b[half:]
-    z0 = _mul_seq(a0, b0)
-    z2 = _mul_seq(a1, b1)
-    sa = _add_seq(a0, a1)
-    sb = _add_seq(b0, b1)
-    z1 = _sub_seq(_sub_seq(_mul_seq(sa, sb), z0), z2)
     out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] = out[i] + c
-    for i, c in enumerate(z1):
-        out[i + half] = out[i + half] + c
-    for i, c in enumerate(z2):
-        out[i + 2 * half] = out[i + 2 * half] + c
-    return out
-
-
-def _add_seq(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return out
-
-
-def _sub_seq(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
-    out = list(a)
-    while len(out) < len(b):
-        out.append(Fraction(0))
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
     return out
 
 

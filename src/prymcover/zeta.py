@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import modp
 from .covers import CoverCertificate
 from .curves import HyperCurve
 from .errors import InternalCheckError
@@ -36,7 +37,7 @@ from .finitefield import (
     get_field,
     least_nonresidue,
 )
-from .polys import Poly, poly_disc
+from .polys import poly_disc
 from .scalars import as_rational, is_prime, rat_ord_p
 
 
@@ -71,14 +72,9 @@ class FFCurve:
 
     def coeffs(self) -> Tuple[int, ...]:
         """Dense coefficients of lead * prod (x - root_i) mod p."""
-        p = self.p
-        out = [self.lead % p]
+        out = [self.lead]
         for r in self.roots:
-            nxt = [0] * (len(out) + 1)
-            for i, c in enumerate(out):
-                nxt[i] = (nxt[i] - c * r) % p
-                nxt[i + 1] = (nxt[i + 1] + c) % p
-            out = nxt
+            out = modp.mul(out, [-r, 1], self.p)
         return tuple(out)
 
 
@@ -96,23 +92,10 @@ def reduce_curve(curve: HyperCurve, p: int) -> FFCurve:
     for r in curve.rational_roots():
         if r.denominator % p == 0:
             raise ValueError(f"root {r} escapes to infinity mod {p}")
-        roots.append(r.numerator * pow(r.denominator, p - 2, p) % p)
+        roots.append(modp.rat_mod(r, p))
     if len(set(roots)) != len(roots):
         raise ValueError(f"roots collide mod {p}")
-    lead_int = lead.numerator * pow(lead.denominator, p - 2, p) % p
-    return FFCurve(p, tuple(roots), lead_int)
-
-
-def poly_mod_p(f: Poly, p: int) -> Tuple[int, ...]:
-    """Dense integer coefficients of a rational-coefficient poly mod p;
-    rejects coefficients with p in the denominator."""
-    out = []
-    for c in f.coeffs:
-        r = as_rational(c)
-        if r.denominator % p == 0:
-            raise ValueError(f"coefficient {r} is not p-integral at {p}")
-        out.append(r.numerator * pow(r.denominator, p - 2, p) % p)
-    return tuple(out)
+    return FFCurve(p, tuple(roots), modp.rat_mod(lead, p))
 
 
 def _chi(lg: int) -> int:
@@ -183,15 +166,6 @@ class ReducedCover:
     x_q: int
 
 
-def _int_poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return out
-
-
 def reduce_cover(cert: CoverCertificate, p: int) -> ReducedCover:
     """Reduce a cover certificate mod an odd prime, checking every condition
     the smooth-model point count needs; raises ValueError with the obstruction
@@ -213,12 +187,12 @@ def reduce_cover(cert: CoverCertificate, p: int) -> ReducedCover:
         for c in poly.coeffs:
             if as_rational(c).denominator % p == 0:
                 raise ValueError(f"{name} has a p in a denominator")
-    h_mod = poly_mod_p(cert.h, p)
+    h_mod = modp.poly_mod(cert.h, p)
     if len(h_mod) != base.genus + 2:
         raise ValueError("h must have degree genus+1")
     if h_mod[-1] == 0:
         raise ValueError("leading coefficient of h vanishes mod p")
-    big_f_mod = poly_mod_p(cert.big_f, p)
+    big_f_mod = modp.poly_mod(cert.big_f, p)
     if len(big_f_mod) != base.genus + 1:
         raise ValueError("F must have degree equal to the genus")
     if big_f_mod[-1] == 0:
@@ -229,21 +203,15 @@ def reduce_cover(cert: CoverCertificate, p: int) -> ReducedCover:
             raise ValueError("branch polynomial F has a repeated factor")
         if rat_ord_p(disc, p) != 0:
             raise ValueError("branch locus degenerates mod p")
-    xp_i = _frac_mod(x_p, p)
-    xq_i = _frac_mod(x_q, p)
+    xp_i = modp.rat_mod(x_p, p)
+    xq_i = modp.rat_mod(x_q, p)
     # The exact identity h^2 - f = (x - x_p)(x - x_q) F^2 must survive
     # reduction; everything above is p-integral, so this is a plumbing check.
-    lhs = _int_poly_mul(h_mod, h_mod, p)
-    fc = base.coeffs()
-    lhs = [(a - b) % p for a, b in zip(lhs, list(fc) + [0] * (len(lhs) - len(fc)))]
-    rhs = _int_poly_mul([xp_i * xq_i % p, (-xp_i - xq_i) % p, 1], _int_poly_mul(big_f_mod, big_f_mod, p), p)
+    lhs = modp.sub(modp.mul(h_mod, h_mod, p), base.coeffs(), p)
+    rhs = modp.mul(modp.mul([-xp_i, 1], [-xq_i, 1], p), modp.mul(big_f_mod, big_f_mod, p), p)
     if lhs != rhs:
         raise InternalCheckError("cover identity failed to reduce mod p")
     return ReducedCover(base, h_mod, big_f_mod, xp_i, xq_i)
-
-
-def _frac_mod(r: Fraction, p: int) -> int:
-    return r.numerator * pow(r.denominator, p - 2, p) % p
 
 
 def count_double_cover(cover: ReducedCover, deg: int = 1) -> int:

@@ -79,6 +79,13 @@ class TestFromDense:
         form = BinaryForm.from_dense([F(1), F(-5), F(6)])
         assert sorted(form.affine_roots()) == [F(1, 3), F(1, 2)]
 
+    def test_root_with_large_prime_factors(self):
+        # (x - 1)(x - P): divisor enumeration would have to factor P
+        big = 1000003 * 1000033
+        form = BinaryForm.from_dense([F(big), F(-(big + 1)), F(1)])
+        assert form.affine_roots() == [F(1), F(big)]
+        assert form.coeffs() == (F(big), F(-(big + 1)), F(1))
+
 
 class TestDisc:
     def test_product_of_two_lines(self):

@@ -12,7 +12,6 @@ from prymcover.zeta import (
     count_points,
     jacobian_order,
     l_polynomial,
-    poly_mod_p,
     prym_check_obstruction,
     prym_product_check,
     ReducedCover,
@@ -115,11 +114,12 @@ class TestReduce:
             reduce_curve(E1, 2)
 
     def test_poly_mod_p(self):
+        from prymcover.modp import poly_mod
         from prymcover.polys import Poly
 
-        assert poly_mod_p(Poly([F(1, 2), F(3)]), 5) == (3, 3)
+        assert poly_mod(Poly([F(1, 2), F(3)]), 5) == (3, 3)
         with pytest.raises(ValueError):
-            poly_mod_p(Poly([F(1, 5)]), 5)
+            poly_mod(Poly([F(1, 5)]), 5)
 
 
 class TestCountPoints:
