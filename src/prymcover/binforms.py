@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from . import modp
-from .curves import CurvePoint, HyperCurve, is_on_curve
+from .curves import CurvePoint, HyperCurve, bad_primes, is_on_curve
 from .errors import InternalCheckError
 from .polys import Poly
 from .scalars import Rat, as_rational, is_prime, rat_ord_p, rational_prime_support
@@ -258,15 +258,11 @@ def _prime_support(x: Fraction) -> Dict[int, int]:
     return out
 
 
-def _modinv(a: int, m: int) -> int:
-    return pow(a % m, -1, m)
-
-
 def _crt(pairs: Sequence[Tuple[int, int]]) -> int:
     """Least nonnegative x with x = r mod m for all (r, m), moduli coprime."""
     x, mod = 0, 1
     for r, m in pairs:
-        t = ((r - x) * _modinv(mod, m)) % m
+        t = ((r - x) * pow(mod % m, -1, m)) % m
         x += mod * t
         mod *= m
     return x % mod
@@ -281,15 +277,14 @@ def integral_point_to_form(
     """Run the three-case pipeline taking an integral point of an odd-degree
     model to a binary form whose discriminant valuations are certified.
 
-    The working prime set S is enlarged first (2, denominators of the roots,
-    primes of x_Q - alpha_i, primes of the root discriminant, and every
-    prime where x_P - x_Q and y_P - y_Q both have positive valuation); the
-    enlarged set is reported in the certificate.  Per prime outside the
-    enlarged S: valuation 0 of x_P - x_Q needs no work, negative valuation
-    is repaired by the c-rescaling, positive valuation by the unimodular
-    substitution, the theta-rescaling, a shift making the special root
-    valuations exactly 2m, and the 2m-rescaling of Z when every affine root
-    is special.
+    The working prime set S is enlarged first (the bad primes of the model,
+    primes of x_Q - alpha_i, and every prime where x_P - x_Q and y_P - y_Q
+    both have positive valuation); the enlarged set is reported in the
+    certificate.  Per prime outside the enlarged S: valuation 0 of x_P - x_Q
+    needs no work, negative valuation is repaired by the c-rescaling,
+    positive valuation by the unimodular substitution, the theta-rescaling,
+    a shift making the special root valuations exactly 2m, and the
+    2m-rescaling of Z when every affine root is special.
     """
     if not curve.is_rational():
         raise ValueError("pipeline needs a rational split model")
@@ -314,7 +309,6 @@ def integral_point_to_form(
     except ValueError:
         raise ValueError("requires a rational beta-tuple") from None
 
-    roots = curve.rational_roots()
     g = curve.genus
 
     s_work = set()
@@ -323,14 +317,9 @@ def integral_point_to_form(
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         s_work.add(p)
-    s_work.add(2)
-    lead = as_rational(curve.lead)
-    s_work.update(rational_prime_support(lead))
-    for a in roots:
-        s_work.update(rational_prime_support(Fraction(a.denominator)))
+    s_work |= bad_primes(curve)
+    for a in curve.rational_roots():
         s_work.update(rational_prime_support(x_q - a))
-    for a, b in itertools.combinations(roots, 2):
-        s_work.update(rational_prime_support(a - b))
     r1 = x_p - x_q
     r2 = y_p - y_q
     if r2 == 0:
@@ -415,7 +404,7 @@ def integral_point_to_form(
     big_m = 1
     for p in pos_primes:
         big_m *= p ** m_by_p[p]
-    b = (-_modinv(2 * c, big_m)) % big_m
+    b = (-pow(2 * c % big_m, -1, big_m)) % big_m
     if (2 * b * c) % big_m != big_m - 1:
         raise InternalCheckError("congruence 2bc = -1 failed")
     u_mat = GL2Matrix(1, b, c, 1 + b * c)

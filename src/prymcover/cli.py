@@ -14,12 +14,11 @@ from typing import Any, Dict, List, Optional
 
 from . import jsonio
 from .binforms import certify_form, integral_point_to_form, reduction_classify
-from .covers import beta_tuples, prym_curve_equation, reconstruct_h_f
+from .covers import beta_tuples, reconstruct_h_f
 from .curves import CurvePoint, HyperCurve, compute_t
 from .errors import InternalCheckError
 from .finitefield import check_field_order
 from .points import (
-    CandidateSet,
     IntegralitySpec,
     brute_force_points,
     recover_points_detailed,

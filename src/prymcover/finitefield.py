@@ -1,36 +1,35 @@
 """Finite fields F_{p^i} with a deterministic modulus and generator.
 
-Elements are coefficient tuples (constant first) modulo the
+An element is an integer code c in [0, q): the base-p digits of c, least
+significant first, are its coefficients (constant first) modulo the
 lexicographically least monic irreducible polynomial of degree i, where
-polynomials are ordered by their integer encoding sum(c_j * p^j) over the
-non-leading coefficients.  The same encoding gives every element an integer
-code in [0, q), and the least primitive element in code order is the
-generator g.  This pins the field representation, so point counts and any
-serialized element are reproducible across runs.  The modulus search tests
-irreducibility with the F_p polynomial kernel in `modp`.
+polynomials are ordered by the same encoding of their non-leading
+coefficients.  An F_p element is its own code, and the least primitive
+element in code order is the generator g.  This pins the field
+representation, so point counts and any serialized element are
+reproducible across runs.  Products, powers and the irreducibility test of
+the modulus run on the F_p polynomial kernel in `modp`.
 
 Bulk work runs on integer discrete logarithms to the base g (Zech
 logarithms, after Huber, IEEE Trans. IT 36, 1990): three `array('l')` tables,
 built once per field on first use, map log -> code, code -> log (with
 ZERO_LOG for zero) and i -> log(1 + g^i).  A product is a sum of logs modulo
 q - 1, a sum is one Zech lookup, the quadratic character is the parity of
-the log and a square root halves it.  The tuple arithmetic (`add`, `mul`,
-`pow`, `inv`) builds those tables and, with the definitional character
-`chi`, serves as the oracle the tests check them against.
+the log and a square root halves it.  The definitional arithmetic (`add`,
+`mul`, `pow`, `inv`) never reads those tables: it builds them and, with the
+definitional character `chi`, serves as the oracle the tests check them
+against.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from array import array
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import modp
 from .errors import InternalCheckError
 from .scalars import factorize, is_prime
-
-Elem = Tuple[int, ...]
 
 # Largest field whose log tables are built (24 bytes per element, so 24 MB
 # at the limit).  It admits F_{31^4}, the largest field a genus-2 check
@@ -46,6 +45,24 @@ def check_field_order(p: int, deg: int) -> None:
         raise ValueError(
             f"F_{p}^{deg} has {q} elements, more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"
         )
+
+
+def _digits(c: int, p: int, deg: int) -> List[int]:
+    """The deg base-p digits of a code, least significant first: the
+    coefficients of its element, constant first."""
+    out = []
+    for _ in range(deg):
+        c, d = divmod(c, p)
+        out.append(d)
+    return out
+
+
+def _code(digits: Sequence[int], p: int) -> int:
+    """The code of an element from its coefficients, constant first."""
+    c = 0
+    for d in reversed(digits):
+        c = c * p + d
+    return c
 
 
 def _is_irreducible(mod: List[int], p: int) -> bool:
@@ -67,12 +84,7 @@ def least_irreducible(p: int, deg: int) -> Tuple[int, ...]:
     if deg == 1:
         return (0, 1)
     for code in range(p**deg):
-        coeffs = []
-        k = code
-        for _ in range(deg):
-            coeffs.append(k % p)
-            k //= p
-        mod = coeffs + [1]
+        mod = _digits(code, p, deg) + [1]
         if _is_irreducible(mod, p):
             return tuple(mod)
     raise InternalCheckError(f"no irreducible of degree {deg} over F_{p}")
@@ -102,7 +114,8 @@ class LogTables(NamedTuple):
 
 
 class FiniteField:
-    """F_{p^deg}: tuple arithmetic plus discrete-log tables built on demand."""
+    """F_{p^deg} on integer codes: arithmetic on the `modp` kernel, plus
+    discrete-log tables built on demand."""
 
     def __init__(self, p: int, deg: int = 1):
         if not is_prime(p):
@@ -113,117 +126,59 @@ class FiniteField:
         self.deg = deg
         self.order = p**deg
         self.modulus = least_irreducible(p, deg)
-        # x^(deg+t) mod modulus, coefficients constant-first
-        red: List[Tuple[int, ...]] = []
-        cur = [(-c) % p for c in self.modulus[:deg]]
-        red.append(tuple(cur))
-        for _ in range(deg - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(deg):
-                    nxt[j] = (nxt[j] - top * self.modulus[j]) % p
-            cur = [v % p for v in nxt]
-            red.append(tuple(cur))
-        self._red = red
-        self._zero: Elem = (0,) * deg
-        self._one: Elem = (1,) + (0,) * (deg - 1)
         self._logs: Optional[LogTables] = None
         self._orbits: Optional[Tuple[array, array]] = None
 
-    def zero(self) -> Elem:
-        return self._zero
-
-    def one(self) -> Elem:
-        return self._one
-
-    def embed(self, a: int) -> Elem:
+    def embed(self, a: int) -> int:
         """Image of an integer under Z -> F_p -> F_{p^deg}."""
-        return (a % self.p,) + (0,) * (self.deg - 1)
-
-    def code(self, a: Elem) -> int:
-        """Integer code sum a_j p^j of an element; an F_p element is its own code."""
-        c = 0
-        for d in reversed(a):
-            c = c * self.p + d
-        return c
-
-    def decode(self, c: int) -> Elem:
-        out = []
-        for _ in range(self.deg):
-            c, d = divmod(c, self.p)
-            out.append(d)
-        return tuple(out)
-
-    def elements(self) -> Iterable[Elem]:
-        return itertools.product(range(self.p), repeat=self.deg)
+        return a % self.p
 
     def element_list(self) -> range:
-        """Every element as its code, in code order; `decode` gives the tuple."""
+        """Every element, in code order."""
         return range(self.order)
 
-    def add(self, a: Elem, b: Elem) -> Elem:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+    def add(self, a: int, b: int) -> int:
+        p, deg = self.p, self.deg
+        return _code([(x + y) % p for x, y in zip(_digits(a, p, deg), _digits(b, p, deg))], p)
 
-    def neg(self, a: Elem) -> Elem:
+    def neg(self, a: int) -> int:
         p = self.p
-        return tuple((-x) % p for x in a)
+        return _code([-x % p for x in _digits(a, p, self.deg)], p)
 
-    def mul(self, a: Elem, b: Elem) -> Elem:
-        p = self.p
-        deg = self.deg
-        if deg == 1:
-            return (a[0] * b[0] % p,)
-        prod = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = prod[k] % p
-            if c:
-                red = self._red[k - deg]
-                for j, rj in enumerate(red):
-                    if rj:
-                        prod[j] += c * rj
-        return tuple(v % p for v in prod[:deg])
+    def mul(self, a: int, b: int) -> int:
+        p, deg = self.p, self.deg
+        return _code(modp.mulmod(_digits(a, p, deg), _digits(b, p, deg), self.modulus, p), p)
 
-    def pow(self, a: Elem, e: int) -> Elem:
+    def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self._one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+            a, e = self.inv(a), -e
+        p = self.p
+        return _code(modp.powmod(_digits(a, p, self.deg), e, self.modulus, p), p)
 
-    def inv(self, a: Elem) -> Elem:
-        if a == self._zero:
+    def inv(self, a: int) -> int:
+        if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return self.pow(a, self.order - 2)
 
-    def chi(self, a: Elem) -> int:
+    def chi(self, a: int) -> int:
         """Quadratic character by definition: a^((q-1)/2) in {-1, 0, 1}."""
-        if a == self._zero:
+        if a == 0:
             return 0
         r = self.pow(a, (self.order - 1) // 2)
-        if r == self._one:
+        if r == 1:
             return 1
-        if r == self.neg(self._one):
+        if r == self.p - 1:
             return -1
         raise InternalCheckError("character power landed outside {±1}")
 
-    def generator(self) -> Elem:
-        """The least primitive element in code order."""
+    def generator(self) -> int:
+        """The least primitive element in code order.  In a proper extension
+        the search starts at code p: the codes below it are F_p elements,
+        whose orders divide p - 1 < q - 1."""
         n = self.order - 1
         cofactors = [n // ell for ell in factorize(n)]
-        for c in range(1, self.order):
-            g = self.decode(c)
-            if all(self.pow(g, e) != self._one for e in cofactors):
+        for g in range(self.p if self.deg > 1 else 1, self.order):
+            if all(self.pow(g, e) != 1 for e in cofactors):
                 return g
         raise InternalCheckError(f"no primitive element in {self!r}")
 
@@ -240,18 +195,18 @@ class FiniteField:
         g = self.generator()
         # Multiplication by g is F_p-linear: row k of its matrix gives digit
         # k of g*v from the digits of v.
-        cols = [self.mul(g, self.decode(p**j)) for j in range(deg)]
+        cols = [_digits(self.mul(g, p**j), p, deg) for j in range(deg)]
         rows = list(zip(*cols))
         weights = [p**k for k in range(deg)]
         exp = array("l", [0]) * n
-        v = list(self._one)
+        one = v = _digits(1, p, deg)
         for i in range(n):
             exp[i] = sum(map(operator.mul, weights, v))
             v = [sum(map(operator.mul, row, v)) % p for row in rows]
         log = array("l", [ZERO_LOG]) * q
         for i, c in enumerate(exp):
             log[c] = i
-        if tuple(v) != self._one or log[0] != ZERO_LOG or log.count(ZERO_LOG) != 1:
+        if v != one or log[0] != ZERO_LOG or log.count(ZERO_LOG) != 1:
             raise InternalCheckError(
                 f"powers of the generator of {self!r} miss a nonzero element"
             )

@@ -17,7 +17,7 @@ chi is the parity of a log and a square root halves it.  All of f, h, F,
 x_P and x_Q lie in F_p, so each summand is constant on the Frobenius orbits
 {x^(p^j)}; the sums visit x = 0 and one representative per orbit, weighted
 by the orbit's size.  The tests check every count against a definitional
-enumeration on tuples.
+enumeration with the field's own `add`, `mul` and `chi`.
 """
 
 from __future__ import annotations

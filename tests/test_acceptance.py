@@ -21,6 +21,7 @@ cells at p = 17.  test_criterion_3_strict_twist_uniqueness keeps the
 literal one-twist-per-cell claim visible as a strict expected failure.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -57,7 +58,7 @@ from prymcover.points import (
     recover_points,
 )
 from prymcover.polys import Poly, RatFunc
-from prymcover.scalars import rat_ord_p
+from prymcover.scalars import rat_ord_p, rational_prime_support
 from prymcover.zeta import l_polynomial, prym_product_check
 
 E1 = make_curve([F(-1, 3), F(9, 8), F(25, 24)])
@@ -358,6 +359,46 @@ def test_criterion_5_pipeline_closure():
     assert len(instances) >= 20
     assert not failures, failures
     assert elapsed < 60.0
+
+
+def _explicit_s_union(curve, p_pt, q_pt):
+    """The enlarged S written out prime source by prime source: 2, the lead,
+    root denominators, x_Q - alpha_i, pairwise root differences, and the
+    primes where x_P - x_Q and y_P - y_Q both vanish."""
+    roots = curve.rational_roots()
+    x_q = F(q_pt.x)
+    r1, r2 = F(p_pt.x) - x_q, F(p_pt.y) - F(q_pt.y)
+    parts = [F(2), F(curve.lead)]
+    parts += [F(a.denominator) for a in roots] + [x_q - a for a in roots]
+    parts += [a - b for i, a in enumerate(roots) for b in roots[i + 1 :]]
+    s = {p for x in parts for p in rational_prime_support(x)}
+    meq = abs(r1.numerator) if r2 == 0 else math.gcd(r1.numerator, r2.numerator)
+    if meq > 1:
+        s |= {
+            p
+            for p in rational_prime_support(F(meq))
+            if rat_ord_p(r1, p) > 0 and (r2 == 0 or rat_ord_p(r2, p) > 0)
+        }
+    return tuple(sorted(s))
+
+
+def test_enlarged_s_is_the_explicit_union():
+    rng = random.Random(20261018)
+    instances = [(E1, E1_P, E1_Q)] + _certified_instances()
+    sampled = 0
+    while sampled < 12:
+        genus = rng.randint(1, 3)
+        betas = {F(rng.randint(2, 40), rng.randint(1, 6)) for _ in range(2 * genus + 1)}
+        if len(betas) < 2 * genus + 1:
+            continue
+        try:
+            instances.append(curve_through_betas(sorted(betas)))
+        except ValueError:
+            continue
+        sampled += 1
+    for curve, p_pt, q_pt in instances:
+        cert = integral_point_to_form(curve, p_pt, q_pt, ())
+        assert cert.s_primes == _explicit_s_union(curve, p_pt, q_pt)
 
 
 def _fp_squarefree(coeffs, p):

@@ -32,22 +32,22 @@ def brute_count(ffc: FFCurve, deg: int) -> int:
     field = get_field(ffc.p, deg)
     coeffs = ffc.coeffs()
     total = 0
-    for x in field.elements():
-        fx = field.zero()
+    for x in field.element_list():
+        fx = 0
         for c in reversed(coeffs):
             fx = field.add(field.mul(fx, x), field.embed(c))
-        for y in field.elements():
+        for y in field.element_list():
             if field.mul(y, y) == fx:
                 total += 1
     if ffc.degree % 2 == 1:
         total += 1
     else:
-        total += 1 + field.chi_table()[field.code(field.embed(ffc.lead))]
+        total += 1 + field.chi_table()[field.embed(ffc.lead)]
     return total
 
 
-def _tuple_horner(field, coeffs, x):
-    acc = field.zero()
+def _horner(field, coeffs, x):
+    acc = 0
     for c in reversed(coeffs):
         acc = field.add(field.mul(acc, x), field.embed(c))
     return acc
@@ -55,31 +55,31 @@ def _tuple_horner(field, coeffs, x):
 
 def reference_count_points(ffc: FFCurve, deg: int) -> int:
     """count_points by definition: 1 + chi(f(x)) over every x, with the
-    tuple arithmetic and the power-map character."""
+    definitional arithmetic and the power-map character."""
     field = get_field(ffc.p, deg)
-    total = sum(1 + field.chi(_tuple_horner(field, ffc.coeffs(), x)) for x in field.elements())
+    total = sum(1 + field.chi(_horner(field, ffc.coeffs(), x)) for x in field.element_list())
     if ffc.degree % 2 == 1:
         return total + 1
     return total + 1 + field.chi(field.embed(ffc.lead))
 
 
 def reference_count_double_cover(cover, deg: int) -> int:
-    """count_double_cover by definition, over every x with the tuple
+    """count_double_cover by definition, over every x with the definitional
     arithmetic: each y with y^2 = f(x) is found by enumeration, and the
     fiber rule of the docstring is applied to y + h(x)."""
     base, field = cover.base, get_field(cover.base.p, deg)
-    squares = [(y, field.mul(y, y)) for y in field.elements()]
+    squares = [(y, field.mul(y, y)) for y in field.element_list()]
     xp, xq, two = field.embed(cover.x_p), field.embed(cover.x_q), field.embed(2)
     total = 0
-    for x in field.elements():
-        fx = _tuple_horner(field, base.coeffs(), x)
-        hx = _tuple_horner(field, cover.h, x)
-        gx = _tuple_horner(field, cover.big_f, x)
+    for x in field.element_list():
+        fx = _horner(field, base.coeffs(), x)
+        hx = _horner(field, cover.h, x)
+        gx = _horner(field, cover.big_f, x)
         for y in [y for y, s in squares if s == fx]:
             u = field.add(y, hx)
-            if u != field.zero():
+            if u != 0:
                 total += 1 + field.chi(u)
-            elif gx == field.zero():
+            elif gx == 0:
                 d1 = field.add(x, field.neg(xp))
                 d2 = field.add(x, field.neg(xq))
                 total += 1 + field.chi(field.mul(field.mul(d1, d2), field.mul(two, hx)))
