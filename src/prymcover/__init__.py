@@ -40,7 +40,6 @@ from .curves import (
     hyperelliptic_involution,
     is_on_curve,
     make_curve,
-    mordell_weil_field,
 )
 from .errors import InternalCheckError
 from .finitefield import FiniteField, get_field, least_nonresidue

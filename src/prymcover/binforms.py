@@ -84,50 +84,6 @@ class BinaryForm:
         delta = 0 (a projective root at infinity)."""
         return Poly(self.coeffs())
 
-    def affine_roots(self) -> List[Fraction]:
-        """Roots of F(x, 1), with multiplicity, in factor order."""
-        return [gm / d for d, gm in self.factors if d != 0]
-
-    @classmethod
-    def from_dense(cls, coeffs: Sequence[Rat]) -> "BinaryForm":
-        """Factor a dense form into linear factors over the rationals;
-        raises ValueError when the form is not split."""
-        dense = [Fraction(c) for c in coeffs]
-        if len(dense) < 2 or all(c == 0 for c in dense):
-            raise ValueError("need a nonzero form of degree at least 1")
-        r = len(dense) - 1
-        top = r
-        while dense[top] == 0:
-            top -= 1
-        inf_count = r - top
-        poly = dense[: top + 1]
-        low = 0
-        while poly[low] == 0:
-            low += 1
-        factors: List[Tuple[Fraction, Fraction]] = []
-        factors.extend([(Fraction(0), Fraction(-1))] * inf_count)
-        factors.extend([(Fraction(1), Fraction(0))] * low)
-        work = Poly(poly[low:])
-        lam = work.lead
-        for root in modp.rational_roots(work):
-            lin = Poly([-root.numerator, root.denominator])
-            mult = 0
-            while True:
-                quot, rem = divmod(work, lin)
-                if not rem.is_zero():
-                    break
-                work, mult = quot, mult + 1
-            if not mult:
-                raise InternalCheckError("exact root division left a remainder")
-            factors.extend([(Fraction(root.denominator), Fraction(root.numerator))] * mult)
-            lam /= root.denominator**mult
-        if len(factors) != r:
-            raise ValueError("form is not split over the base field")
-        form = cls(tuple(factors), lam)
-        if form.coeffs() != tuple(dense):
-            raise InternalCheckError("factored form does not re-expand to input")
-        return form
-
 
 def bf_disc(form: BinaryForm) -> Fraction:
     """Discriminant under the fixed convention
@@ -428,24 +384,28 @@ def integral_point_to_form(
         scaled_factors.append((d / th, gm * th_c))
     form_h = BinaryForm(tuple(scaled_factors), h0.lam)
 
+    # The shift a mod p^(2m+1) must put every special root (eps = 0) at
+    # valuation exactly 2m from a and every other root at valuation 0.  So a
+    # is the special roots' common residue mod p^(2m) plus the least digit
+    # k * p^(2m) that matches no special root mod p^(2m+1): the least
+    # admissible residue.  Every valuation is then checked exactly.
     shift_parts = []
     for p in pos_primes:
         m = m_by_p[p]
-        found = None
-        for a_try in range(p ** (2 * m + 1)):
-            ok = True
-            for i, (d, gm) in enumerate(form_h.factors[1:]):
-                root = gm / d
-                want = 2 * m if eps[p][i] == 0 else 0
-                if rat_ord_p(root - a_try, p) != want:
-                    ok = False
-                    break
-            if ok:
-                found = a_try
-                break
-        if found is None:
+        low, high = p ** (2 * m), p ** (2 * m + 1)
+        roots = [gm / d for d, gm in form_h.factors[1:]]
+        special = [r for r, e in zip(roots, eps[p]) if e == 0]
+        if any(r.denominator % p == 0 for r in special):
             raise InternalCheckError(f"no admissible shift at {p}")
-        shift_parts.append((found, p ** (2 * m + 1)))
+        residues = {r.numerator * pow(r.denominator, -1, high) % high for r in special}
+        base = min(residues) % low
+        found = next((a for a in range(base, high, low) if a not in residues), None)
+        if found is None or any(
+            rat_ord_p(r - found, p) != (2 * m if e == 0 else 0)
+            for r, e in zip(roots, eps[p])
+        ):
+            raise InternalCheckError(f"no admissible shift at {p}")
+        shift_parts.append((found, high))
     a_shift = _crt(shift_parts)
     form_h = _shift(form_h, a_shift)
 

@@ -170,14 +170,3 @@ def compute_t(
     if abs(res_int.numerator) != 1:
         t |= set(factorize(res_int.numerator, bound))
     return tuple(sorted(t))
-
-
-def mordell_weil_field(s_primes: Iterable[int]) -> Tuple[int, ...]:
-    """Square classes generating the field where two-division data of the
-    S-unit group lives: -1 followed by the finite primes of S, sorted."""
-    ps = set()
-    for p in s_primes:
-        if not is_prime(p):
-            raise ValueError(f"S must consist of primes, got {p}")
-        ps.add(p)
-    return (-1,) + tuple(sorted(ps))

@@ -5,7 +5,8 @@ candidate list of even-degree cover models against the curve by equating
 cross-ratios of cover roots with cross-ratios of the square-root functions
 z_i = sqrt(x - alpha_i), eliminating the sign ambiguity with a 16-conjugate
 norm product.  The rational roots of each elimination polynomial come from
-`modp.rational_roots`, re-exported here.
+`modp.rational_roots`, re-exported here.  Each distinct cross-ratio target is
+eliminated once and each root x is lifted to the curve once.
 """
 
 from __future__ import annotations
@@ -70,20 +71,13 @@ def _sqrt_exact(r: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _value_is_s_integral(spec: IntegralitySpec, x: Fraction) -> bool:
-    if spec.func.is_pole(x):
-        return False
-    val = as_rational(spec.func.value_at(x))
-    den = val.denominator
-    for p in spec.s_primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
-
-
-def _infinity_is_s_integral(spec: IntegralitySpec) -> bool:
+def _is_s_integral(spec: IntegralitySpec, pt: CurvePoint) -> bool:
+    """Whether spec.func takes an S-integral value at pt (False at a pole)."""
     try:
-        val = as_rational(spec.func.value_at_infinity())
+        if pt.at_infinity:
+            val = as_rational(spec.func.value_at_infinity())
+        else:
+            val = as_rational(spec.func.value_at(Fraction(pt.x)))
     except PoleError:
         return False
     den = val.denominator
@@ -91,6 +85,16 @@ def _infinity_is_s_integral(spec: IntegralitySpec) -> bool:
         while den % p == 0:
             den //= p
     return den == 1
+
+
+def _points_above(f: Poly, x: Fraction) -> List[CurvePoint]:
+    """The rational points (x, -y), (x, y) on y^2 = f(x); one when y = 0."""
+    y = _sqrt_exact(as_rational(f(x)))
+    if y is None:
+        return []
+    if y == 0:
+        return [CurvePoint.affine(x, Fraction(0))]
+    return [CurvePoint.affine(x, -y), CurvePoint.affine(x, y)]
 
 
 def _point_sort_key(p: CurvePoint):
@@ -111,15 +115,9 @@ def brute_force_points(curve: HyperCurve, spec: IntegralitySpec) -> List[CurvePo
         for a in range(-h, h + 1):
             if math.gcd(a, b) != 1:
                 continue
-            x = Fraction(a, b)
-            y = _sqrt_exact(as_rational(f(x)))
-            if y is None or not _value_is_s_integral(spec, x):
-                continue
-            if y == 0:
-                out.append(CurvePoint.affine(x, Fraction(0)))
-            else:
-                out.append(CurvePoint.affine(x, -y))
-                out.append(CurvePoint.affine(x, y))
+            pts = _points_above(f, Fraction(a, b))
+            if pts and _is_s_integral(spec, pts[0]):
+                out.extend(pts)
     return sorted(out, key=_point_sort_key)
 
 
@@ -219,16 +217,8 @@ def _first_rational_pole(curve: HyperCurve, func: RatFunc) -> CurvePoint:
     candidates: List[CurvePoint] = []
     if func.den.degree >= 1:
         for x0 in rational_roots(func.den):
-            if not func.is_pole(x0):
-                continue
-            y = _sqrt_exact(as_rational(f(x0)))
-            if y is None:
-                continue
-            if y == 0:
-                candidates.append(CurvePoint.affine(x0, Fraction(0)))
-            else:
-                candidates.append(CurvePoint.affine(x0, -y))
-                candidates.append(CurvePoint.affine(x0, y))
+            if func.is_pole(x0):
+                candidates.extend(_points_above(f, x0))
     if not candidates:
         raise ValueError(
             "no rational affine pole available: enlarge base field required"
@@ -263,44 +253,31 @@ def recover_points_detailed(
         raise ValueError("candidate genus does not match the curve")
     q_pt = _first_rational_pole(curve, spec.func)
     f = curve.poly()
-    found: Dict[Tuple, Tuple[CurvePoint, str]] = {}
-
-    def offer(pt: CurvePoint, via: str) -> None:
-        if pt.at_infinity:
-            ok = _infinity_is_s_integral(spec)
-        else:
-            ok = is_on_curve(curve, pt) and _value_is_s_integral(
-                spec, Fraction(pt.x)
-            )
-        if ok:
-            found.setdefault(_point_sort_key(pt), (pt, via))
-
-    elim_cache: Dict[Fraction, List[Fraction]] = {}
-    idx = (0, 1, 2, 3)
+    targets: Dict[Fraction, str] = {}
     for ci, cand in enumerate(candidates.curves):
         gammas = cand.rational_roots()
         for combo in itertools.permutations(range(len(gammas)), 4):
-            target = cross_ratio(*(gammas[i] for i in combo))
-            target = as_rational(target)
-            if target in (0, 1):
-                continue
-            if target not in elim_cache:
-                poly = cr_elimination_poly(curve, q_pt, idx, target)
-                elim_cache[target] = rational_roots(poly)
-            for x_p in elim_cache[target]:
-                y = _sqrt_exact(as_rational(f(x_p)))
-                if y is None:
-                    continue
-                via = "candidate %d, roots (%d,%d,%d,%d), cr %s" % (
+            target = as_rational(cross_ratio(*(gammas[i] for i in combo)))
+            if target not in (0, 1) and target not in targets:
+                targets[target] = "candidate %d, roots (%d,%d,%d,%d), cr %s" % (
                     ci,
                     *combo,
                     target,
                 )
-                offer(CurvePoint.affine(x_p, y), via)
-                if y != 0:
-                    offer(CurvePoint.affine(x_p, -y), via)
+    found: Dict[Tuple, Tuple[CurvePoint, str]] = {}
+    lifted = set()
+    for target, via in targets.items():
+        poly = cr_elimination_poly(curve, q_pt, (0, 1, 2, 3), target)
+        for x_p in rational_roots(poly):
+            if x_p in lifted:
+                continue
+            lifted.add(x_p)
+            pts = _points_above(f, x_p)
+            if pts and _is_s_integral(spec, pts[0]):
+                found.update((_point_sort_key(pt), (pt, via)) for pt in pts)
     for pt in exceptional_points(curve, q_pt):
-        offer(pt, "exceptional set")
+        if is_on_curve(curve, pt) and _is_s_integral(spec, pt):
+            found.setdefault(_point_sort_key(pt), (pt, "exceptional set"))
     return [found[k] for k in sorted(found)]
 
 

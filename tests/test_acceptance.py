@@ -21,6 +21,7 @@ cells at p = 17.  test_criterion_3_strict_twist_uniqueness keeps the
 literal one-twist-per-cell claim visible as a strict expected failure.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -48,7 +49,12 @@ from prymcover.covers import (
     reconstruct_h_f,
 )
 from prymcover.curves import CurvePoint, is_on_curve, make_curve
-from prymcover.jsonio import candidate_set_to_json, curve_to_json, dumps
+from prymcover.jsonio import (
+    candidate_set_to_json,
+    curve_to_json,
+    dumps,
+    form_certificate_to_json,
+)
 from prymcover.points import (
     CandidateSet,
     IntegralitySpec,
@@ -317,6 +323,28 @@ GRID_TRIPLES = (
     (4, 5, 6),
     (2, 7, 9),
 )
+
+
+# sha256 prefixes of the certificate bytes for the deep special prime below,
+# recorded from the exhaustive search over residues mod 11^(2m+1)
+DEEP_SHIFT_DIGESTS = {1: "3c685019f613afa4", 2: "14de1115a0fc9f81", 3: "6d19e4729691d393"}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_deep_special_prime_shift(m):
+    # three betas at -1 and four at +1 modulo 11^m: 11 is special with depth
+    # m, so the shift lives modulo 11^(2m+1) and is constructed, not searched
+    q = 11**m
+    betas = [F(-1 + q * k) for k in (1, 2, 3)] + [F(1 + q * k) for k in (1, 2, 3, 4)]
+    curve, p_pt, q_pt = _displaced(betas, F(1, 11 ** (6 * m)))
+    t0 = time.perf_counter()
+    cert = integral_point_to_form(curve, p_pt, q_pt, ())
+    elapsed = time.perf_counter() - t0
+    assert [(e.prime, e.m, e.n) for e in cert.entries] == [(11, m, 3)]
+    digest = hashlib.sha256(dumps(form_certificate_to_json(cert)).encode()).hexdigest()
+    if m in DEEP_SHIFT_DIGESTS:
+        assert digest[:16] == DEEP_SHIFT_DIGESTS[m]
+    assert elapsed < 1.0
 
 
 def _certified_instances():

@@ -49,42 +49,9 @@ class TestBinaryForm:
         form = BinaryForm(((F(1), F(1)), (F(1), F(-3))), F(2))
         assert form.coeffs() == (F(-6), F(4), F(2))
 
-    def test_affine_roots_skip_infinity(self):
-        form = BinaryForm(((F(0), F(1)), (F(2), F(3))))
-        assert form.affine_roots() == [F(3, 2)]
-
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             GL2Matrix(2, 4, 1, 2)
-
-
-class TestFromDense:
-    def test_simple_split(self):
-        form = BinaryForm.from_dense([F(-6), F(4), F(2)])
-        assert form.coeffs() == (F(-6), F(4), F(2))
-        assert sorted(form.affine_roots()) == [F(-3), F(1)]
-
-    def test_roots_at_zero_and_infinity(self):
-        # X^2 Z^2 has the double root 0 and a double root at infinity
-        form = BinaryForm.from_dense([F(0), F(0), F(1), F(0), F(0)])
-        assert form.degree == 4
-        assert form.coeffs() == (F(0), F(0), F(1), F(0), F(0))
-
-    def test_not_split_rejected(self):
-        with pytest.raises(ValueError, match="not split"):
-            BinaryForm.from_dense([F(1), F(0), F(1)])
-
-    def test_rational_roots(self):
-        # 6x^2 - 5x + 1 = (2x - 1)(3x - 1)
-        form = BinaryForm.from_dense([F(1), F(-5), F(6)])
-        assert sorted(form.affine_roots()) == [F(1, 3), F(1, 2)]
-
-    def test_root_with_large_prime_factors(self):
-        # (x - 1)(x - P): divisor enumeration would have to factor P
-        big = 1000003 * 1000033
-        form = BinaryForm.from_dense([F(big), F(-(big + 1)), F(1)])
-        assert form.affine_roots() == [F(1), F(big)]
-        assert form.coeffs() == (F(big), F(-(big + 1)), F(1))
 
 
 class TestDisc:

@@ -9,7 +9,6 @@ from prymcover.curves import (
     hyperelliptic_involution,
     is_on_curve,
     make_curve,
-    mordell_weil_field,
 )
 from prymcover.polys import Poly, RatFunc
 from prymcover.scalars import sqrt_adjoin
@@ -112,16 +111,3 @@ class TestComputeT:
         f = RatFunc(Poly([1]), Poly([0, 1]))
         with pytest.raises(ValueError):
             compute_t(c, f, (6,))
-
-
-class TestMordellWeilField:
-    def test_empty_s(self):
-        assert mordell_weil_field(()) == (-1,)
-
-    def test_with_primes(self):
-        assert mordell_weil_field((2,)) == (-1, 2)
-        assert mordell_weil_field((5, 2, 3)) == (-1, 2, 3, 5)
-
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            mordell_weil_field((4,))

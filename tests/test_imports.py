@@ -1,9 +1,11 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every private helper is
+used somewhere in the package.
 
-A stdlib `ast` scan of the modules under src/prymcover/ (the package's
-__init__.py re-exports on purpose and is skipped): an imported name that
-never appears as a Name node, nor as the base of an attribute chain, is a
-leftover.
+Stdlib `ast` scans of the modules under src/prymcover/.  An imported name
+that never appears as a Name node, nor as the base of an attribute chain, is
+a leftover (the package's __init__.py re-exports on purpose and is skipped).
+A module-level `_`-prefixed function, class or constant that no module of
+the package loads, by name, attribute or import, is dead.
 """
 
 import ast
@@ -39,3 +41,54 @@ def test_scan_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unused_private_names(sources):
+    """(module, line, name) for each private module-level definition in the
+    {module: source} map that no module references."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = {ref for tree in trees.values() for ref in _references(tree)}
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in used
+    )
+
+
+def test_private_scan_finds_a_dead_helper():
+    sources = {
+        "a": "_LIMIT = 3\n_Alias = int\ndef _dead():\n    return _LIMIT\n"
+        "def _kept(x: _Alias):\n    return x\n",
+        "b": "from a import _kept\nclass _Unused:\n    pass\n",
+    }
+    assert unused_private_names(sources) == [("a", 3, "_dead"), ("b", 2, "_Unused")]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_private_names(sources) == []

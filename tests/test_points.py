@@ -234,14 +234,14 @@ class TestRecovery:
 
     def test_provenance_strings(self):
         spec = IntegralitySpec(ONE_OVER_X, (), 100)
-        detail = recover_points_detailed(G2, spec, _g2_candidates())
-        by_coord = {
-            (p.x, p.y): via for p, via in detail if not p.at_infinity
-        }
-        via = by_coord[(F(1), F(1, 144))]
-        assert via.startswith("candidate 0, roots (")
-        assert ", cr " in via
-        assert by_coord[(F(-1, 3), F(0))] == "exceptional set"
+        detail = recover_points_detailed(G2, spec, _g2_candidates(16))
+        via = "candidate 0, roots (0,2,5,4), cr -3/2"
+        assert detail == [
+            (CurvePoint.affine(F(-1, 3), 0), "exceptional set"),
+            (CurvePoint.affine(1, F(-1, 144)), via),
+            (CurvePoint.affine(1, F(1, 144)), via),
+            (CurvePoint.infinity(), "exceptional set"),
+        ]
 
     def test_recover_points_is_projection(self):
         spec = IntegralitySpec(ONE_OVER_X, (), 100)
