@@ -19,10 +19,21 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from . import modp
-from .curves import CurvePoint, HyperCurve, bad_primes, is_on_curve
+from .covers import beta_tuples
+from .curves import CurvePoint, HyperCurve, bad_primes
 from .errors import InternalCheckError
 from .polys import Poly
-from .scalars import Rat, as_rational, is_prime, rat_ord_p, rational_prime_support
+from .scalars import (
+    FactorizationError,
+    Rat,
+    as_rational,
+    factorize,
+    is_prime,
+    prime_set,
+    rat_ord_p,
+    rational_prime_support,
+    strip_primes,
+)
 
 
 @dataclass(frozen=True)
@@ -79,11 +90,6 @@ class BinaryForm:
             out = nxt
         return tuple(out)
 
-    def dehomogenized(self) -> Poly:
-        """F(x, 1) as a polynomial; degree drops by one per factor with
-        delta = 0 (a projective root at infinity)."""
-        return Poly(self.coeffs())
-
 
 def bf_disc(form: BinaryForm) -> Fraction:
     """Discriminant under the fixed convention
@@ -107,21 +113,13 @@ def _shift(form: BinaryForm, a: Rat) -> BinaryForm:
     return bf_transform(form, GL2Matrix(1, Fraction(a), 0, 1))
 
 
-def _strip(n: int, primes: Iterable[int]) -> int:
-    n = abs(n)
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
-
-
 def disc_is_s_unit(form: BinaryForm, s_primes: Iterable[int]) -> bool:
     """Whether disc(F) is a unit outside S (and the archimedean place)."""
+    ps = prime_set(s_primes)
     disc = bf_disc(form)
     if disc == 0:
         return False
-    ps = list(s_primes)
-    return _strip(disc.numerator, ps) == 1 and _strip(disc.denominator, ps) == 1
+    return all(strip_primes(n, ps) == 1 for n in (disc.numerator, disc.denominator))
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ class FormCertificate:
 
 
 def _s_integral(x: Fraction, ps: Sequence[int]) -> bool:
-    return _strip(x.denominator, ps) == 1
+    return strip_primes(x.denominator, ps) == 1
 
 
 def certify_form(
@@ -157,10 +155,7 @@ def certify_form(
     ord_p disc = 2mn(n-1) and F(x,1) has exactly n rational roots of
     valuation 2m.
     """
-    ps = sorted(set(int(p) for p in s_primes))
-    for p in ps:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+    ps = prime_set(s_primes)
     for d, gm in form.factors:
         if not (_s_integral(d, ps) and _s_integral(gm, ps)):
             return "form has a coefficient that is not S-integral"
@@ -169,13 +164,11 @@ def certify_form(
     disc = bf_disc(form)
     if disc == 0:
         return "discriminant vanishes (repeated factor)"
-    if _strip(disc.denominator, ps) != 1:
+    if strip_primes(disc.denominator, ps) != 1:
         return "discriminant has a denominator outside S"
-    residual = _strip(disc.numerator, ps)
+    residual = strip_primes(disc.numerator, ps)
     if residual == 1:
-        return FormCertificate(form, tuple(ps), ())
-    from .scalars import FactorizationError, factorize
-
+        return FormCertificate(form, ps, ())
     try:
         support = factorize(residual)
     except FactorizationError:
@@ -203,7 +196,7 @@ def certify_form(
                 "required root pattern"
             )
         entries.append(found)
-    return FormCertificate(form, tuple(ps), tuple(entries))
+    return FormCertificate(form, ps, tuple(entries))
 
 
 def _prime_support(x: Fraction) -> Dict[int, int]:
@@ -240,26 +233,12 @@ def integral_point_to_form(
     needs no work, negative valuation is repaired by the c-rescaling,
     positive valuation by the unimodular substitution, the theta-rescaling,
     a shift making the special root valuations exactly 2m, and the
-    2m-rescaling of Z when every affine root is special.
+    2m-rescaling of Z when every affine root is special.  The marked pair
+    is checked by `covers.beta_tuples`, whose first tuple seeds the form.
     """
-    if not curve.is_rational():
-        raise ValueError("pipeline needs a rational split model")
-    if curve.degree % 2 == 0:
-        raise ValueError("pipeline needs an odd-degree model")
-    if p_pt.at_infinity or q_pt.at_infinity:
-        raise ValueError("marked points must be affine")
-    if not (is_on_curve(curve, p_pt) and is_on_curve(curve, q_pt)):
-        raise ValueError("marked points must lie on the curve")
+    first = beta_tuples(curve, p_pt, q_pt)[0]
     x_p, y_p = Fraction(p_pt.x), Fraction(p_pt.y)
     x_q, y_q = Fraction(q_pt.x), Fraction(q_pt.y)
-    if y_p == 0 or y_q == 0:
-        raise ValueError("marked points must avoid the hyperelliptic branch locus")
-    if x_p == x_q:
-        raise ValueError("marked points share an x-coordinate")
-
-    from .covers import beta_tuples
-
-    first = beta_tuples(curve, p_pt, q_pt)[0]
     try:
         betas = [as_rational(b) for b in first.betas]
     except ValueError:
@@ -267,13 +246,7 @@ def integral_point_to_form(
 
     g = curve.genus
 
-    s_work = set()
-    for p in s_primes:
-        p = int(p)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        s_work.add(p)
-    s_work |= bad_primes(curve)
+    s_work = set(prime_set(s_primes)) | bad_primes(curve)
     for a in curve.rational_roots():
         s_work.update(rational_prime_support(x_q - a))
     r1 = x_p - x_q

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -25,13 +26,12 @@ from .points import (
 )
 from .polys import Poly, RatFunc
 from .scalars import is_prime
+from .zeta import prym_check_obstruction, prym_product_check
 
 DEFAULT_PRIME_BUDGET = 31
 
 
 def _read_json(path: str) -> Any:
-    import json
-
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -96,8 +96,6 @@ def cmd_covers(args) -> int:
 
 
 def _usable_prime(cert, budget: int) -> int:
-    from .zeta import prym_check_obstruction
-
     p = 3
     while p <= budget:
         if is_prime(p) and not prym_check_obstruction(cert, p):
@@ -107,8 +105,6 @@ def _usable_prime(cert, budget: int) -> int:
 
 
 def cmd_prym_check(args) -> int:
-    from .zeta import prym_product_check
-
     curve = _load_curve(args.curve)
     p_pt = _parse_point(args.p)
     q_pt = _parse_point(args.q)

@@ -65,15 +65,19 @@ def _validate_pair(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> None:
         if pt.at_infinity:
             raise ValueError("P and Q must be affine")
         if not is_on_curve(curve, pt):
-            raise ValueError(f"{pt!r} is not on the curve")
+            raise ValueError(f"P and Q must lie on the curve; {pt!r} does not")
         if pt.y == 0:
-            raise ValueError("P and Q must avoid Weierstrass points")
+            raise ValueError("P and Q must avoid the branch locus (Weierstrass points)")
     if p.x == q.x:
-        raise ValueError("P and Q must have distinct x-coordinates")
+        raise ValueError("P and Q share an x-coordinate")
 
 
 def beta_tuples(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> List[BetaTuple]:
-    """All 2**(2g) beta tuples for (curve, P, Q), in lexicographic sign order."""
+    """All 2**(2g) beta tuples for (curve, P, Q), in lexicographic sign order.
+
+    The product of the base roots is formed once: it fixes the last sign for
+    the all-plus choice, and flipping free signs flips it by their parity.
+    """
     _validate_pair(curve, p, q)
     x_p, x_q = Fraction(p.x), Fraction(q.x)
     y_ratio = Fraction(q.y) / Fraction(p.y)
@@ -81,17 +85,17 @@ def beta_tuples(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> List[BetaTup
         sqrt_adjoin((x_q - as_rational(r)) / (x_p - as_rational(r)))
         for r in curve.roots
     ]
-    free = len(base) - 1
+    full = _product(base)
+    if full == y_ratio:
+        last = base[-1]
+    elif -full == y_ratio:
+        last = -base[-1]
+    else:
+        raise InternalCheckError("no sign of the last beta fits the product")
     out: List[BetaTuple] = []
-    for signs in itertools.product((1, -1), repeat=free):
+    for signs in itertools.product((1, -1), repeat=len(base) - 1):
         betas = [s * b for s, b in zip(signs, base)]
-        with_plus = _product(betas) * base[-1]
-        if with_plus == y_ratio:
-            betas.append(base[-1])
-        elif -with_plus == y_ratio:
-            betas.append(-base[-1])
-        else:
-            raise InternalCheckError("no sign of the last beta fits the product")
+        betas.append(last if _product(signs) == 1 else -last)
         out.append(BetaTuple(curve, p, q, tuple(betas)))
     return out
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import FrozenSet, Iterable, Set, Tuple, Union
 
 from .polys import Poly, RatFunc, clear_denominators, resultant
@@ -21,7 +23,7 @@ from .scalars import (
     Scalar,
     as_rational,
     factorize,
-    is_prime,
+    prime_set,
     rational_prime_support,
 )
 
@@ -106,9 +108,12 @@ def make_curve(
 
 
 def is_on_curve(curve: HyperCurve, point: CurvePoint) -> bool:
+    """y^2 = lead * prod (x - root_i), evaluated from the stored roots."""
     if point.at_infinity:
         return True
-    return Fraction(point.y) ** 2 == curve.poly()(Fraction(point.x))
+    x = Fraction(point.x)
+    value = reduce(mul, (x - r for r in curve.roots), curve.lead)
+    return Fraction(point.y) ** 2 == value
 
 
 def hyperelliptic_involution(curve: HyperCurve, point: CurvePoint) -> CurvePoint:
@@ -153,12 +158,7 @@ def compute_t(
     degenerates to 0 or infinity, and primes where its zero and pole loci
     collide.  The archimedean place always belongs to the support set and is
     left implicit.  Returns the sorted tuple of finite primes."""
-    t: Set[int] = set()
-    for p in s_primes:
-        if not is_prime(p):
-            raise ValueError(f"S must consist of primes, got {p}")
-        t.add(p)
-    t |= bad_primes(curve, bound)
+    t = set(prime_set(s_primes)) | bad_primes(curve, bound)
     num_int, num_content = clear_denominators(func.num)
     den_int, den_content = clear_denominators(func.den)
     scale = num_content / den_content

@@ -31,9 +31,10 @@ from . import modp
 from .errors import InternalCheckError
 from .scalars import factorize, is_prime
 
-# Largest field whose log tables are built (24 bytes per element, so 24 MB
-# at the limit).  It admits F_{31^4}, the largest field a genus-2 check
-# meets within the CLI's default prime budget.
+# Largest field FiniteField constructs, refused before its modulus search
+# (log tables take 24 bytes per element, so 24 MB at the limit).  It admits
+# F_{31^4}, the largest field a genus-2 check meets within the CLI's default
+# prime budget.
 MAX_FIELD_ORDER = 1 << 20
 ZERO_LOG = -1  # the log of zero in every table
 
@@ -122,6 +123,7 @@ class FiniteField:
             raise ValueError(f"field characteristic must be prime, got {p}")
         if deg < 1:
             raise ValueError("extension degree must be positive")
+        check_field_order(p, deg)
         self.p = p
         self.deg = deg
         self.order = p**deg
@@ -190,7 +192,6 @@ class FiniteField:
 
     def _build_logs(self) -> LogTables:
         p, deg, q = self.p, self.deg, self.order
-        check_field_order(p, deg)
         n = q - 1
         g = self.generator()
         # Multiplication by g is F_p-linear: row k of its matrix gives digit

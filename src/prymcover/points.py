@@ -22,7 +22,7 @@ from .curves import CurvePoint, HyperCurve, hyperelliptic_involution, is_on_curv
 from .errors import InternalCheckError
 from .modp import rational_roots
 from .polys import PoleError, Poly, RatFunc
-from .scalars import Rat, as_rational, is_prime
+from .scalars import Rat, as_rational, prime_set, strip_primes
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,7 @@ class IntegralitySpec:
             raise ValueError("integrality needs a nonconstant function")
         if self.height_bound < 1:
             raise ValueError("height bound must be at least 1")
-        ps = []
-        for p in self.s_primes:
-            p = int(p)
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            ps.append(p)
-        object.__setattr__(self, "s_primes", tuple(sorted(set(ps))))
+        object.__setattr__(self, "s_primes", prime_set(self.s_primes))
 
 
 @dataclass(frozen=True)
@@ -80,11 +74,7 @@ def _is_s_integral(spec: IntegralitySpec, pt: CurvePoint) -> bool:
             val = as_rational(spec.func.value_at(Fraction(pt.x)))
     except PoleError:
         return False
-    den = val.denominator
-    for p in spec.s_primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
+    return strip_primes(val.denominator, spec.s_primes) == 1
 
 
 def _points_above(f: Poly, x: Fraction) -> List[CurvePoint]:
@@ -105,7 +95,8 @@ def _point_sort_key(p: CurvePoint):
 
 def brute_force_points(curve: HyperCurve, spec: IntegralitySpec) -> List[CurvePoint]:
     """Every affine rational point (a/b, y) with |a|, b <= H and f(P) an
-    S-integer, solved exactly; sorted by x then y."""
+    S-integer, solved exactly; sorted by x then y.  The search tries each
+    reduced a/b, about (12/pi^2) H^2 = 1.2 H^2 values of x."""
     if not curve.is_rational():
         raise ValueError("brute force needs a rational split model")
     f = curve.poly()

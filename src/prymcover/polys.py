@@ -73,9 +73,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def coefficient(self, k: int) -> Scalar:
-        return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
-
     def __call__(self, x) -> Scalar:
         acc: Scalar = Fraction(0)
         for c in reversed(self._c):

@@ -58,6 +58,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_set(s_primes: Iterable[int]) -> Tuple[int, ...]:
+    """A set S of finite primes, checked and returned sorted without repeats."""
+    ps = [int(p) for p in s_primes]
+    for p in ps:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    return tuple(sorted(set(ps)))
+
+
+def strip_primes(n: int, primes: Iterable[int]) -> int:
+    """|n| with every factor of the given primes divided out."""
+    n = abs(n)
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
 _sieve_bound = 0
 _sieve_primes: List[int] = []
 

@@ -290,12 +290,6 @@ class LPoly:
         """Value at 1: the number of rational points of the Jacobian."""
         return sum(self.coeffs)
 
-    def __call__(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
 
 def l_polynomial(q: int, counts: Sequence[int], genus: int) -> LPoly:
     """Zeta numerator of a genus-`genus` curve over F_q from the point counts

@@ -15,7 +15,7 @@ from prymcover.binforms import (
     integral_point_to_form,
     reduction_classify,
 )
-from prymcover.covers import curve_through_betas
+from prymcover.covers import beta_tuples, curve_through_betas
 from prymcover.curves import CurvePoint, make_curve
 from prymcover.errors import InternalCheckError
 from prymcover.scalars import rat_ord_p
@@ -137,6 +137,12 @@ class TestSUnit:
     def test_zero_disc(self):
         form = BinaryForm(((F(1), F(2)), (F(1), F(2))))
         assert not disc_is_s_unit(form, [2, 3, 5])
+
+    def test_non_prime_rejected(self):
+        # stripping by 1 would never terminate
+        form = BinaryForm(((F(1), F(1)), (F(1), F(-1))))
+        with pytest.raises(ValueError, match="1 is not prime"):
+            disc_is_s_unit(form, [2, 1])
 
 
 class TestCertify:
@@ -327,6 +333,38 @@ class TestPipelineErrors:
             integral_point_to_form(
                 curve, CurvePoint.affine(12, 60), CurvePoint.affine(12, -60), []
             )
+
+
+_CUBIC = make_curve([0, -3, -8])
+
+
+@pytest.mark.parametrize(
+    "curve, p_pt, q_pt, needle",
+    [
+        (E1, CurvePoint.infinity(), E1_Q, "affine"),
+        (E1, CurvePoint.affine(1, 1), E1_Q, "lie on the curve"),
+        (_CUBIC, CurvePoint.affine(0, 0), CurvePoint.affine(1, 6), "branch"),
+        (
+            _CUBIC,
+            CurvePoint.affine(12, 60),
+            CurvePoint.affine(12, -60),
+            "share an x-coordinate",
+        ),
+        (
+            make_curve([0, -3, -8, 1]),
+            CurvePoint.affine(3, 18),
+            CurvePoint.affine(-4, 12),
+            "odd-degree",
+        ),
+    ],
+    ids=["infinity", "off-curve", "weierstrass", "shared-x", "even-degree"],
+)
+def test_pipeline_and_covers_share_pair_errors(curve, p_pt, q_pt, needle):
+    with pytest.raises(ValueError, match=needle) as from_covers:
+        beta_tuples(curve, p_pt, q_pt)
+    with pytest.raises(ValueError) as from_pipeline:
+        integral_point_to_form(curve, p_pt, q_pt, [])
+    assert str(from_pipeline.value) == str(from_covers.value)
 
 
 class TestPipelineClosure:

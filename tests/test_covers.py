@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,45 @@ class TestBetaTuples:
     def test_all_validate(self):
         for t in beta_tuples(E1, E1_P, E1_Q):
             t.validate()
+
+
+def _per_tuple_betas(curve, p, q):
+    """Reference rule: each tuple multiplies out its own product and takes
+    the sign of the last beta that makes it y_Q / y_P."""
+    y_ratio = F(q.y) / F(p.y)
+    base = [sqrt_adjoin((F(q.x) - r) / (F(p.x) - r)) for r in curve.roots]
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(base) - 1):
+        betas = [s * b for s, b in zip(signs, base)]
+        with_plus = base[-1]
+        for b in betas:
+            with_plus = with_plus * b
+        assert with_plus in (y_ratio, -y_ratio)
+        betas.append(base[-1] if with_plus == y_ratio else -base[-1])
+        out.append(tuple(betas))
+    return out
+
+
+IRRATIONAL = make_curve([-4, -2, 1])
+IRRATIONAL_P = CurvePoint.affine(-3, 2)
+IRRATIONAL_Q = CurvePoint.affine(4, 12)
+
+
+@pytest.mark.parametrize(
+    "curve, p, q",
+    [(E1, E1_P, E1_Q), (G2, G2_P, G2_Q), (IRRATIONAL, IRRATIONAL_P, IRRATIONAL_Q)],
+    ids=["E1", "G2", "irrational"],
+)
+def test_single_product_matches_per_tuple_rule(curve, p, q):
+    got = [t.betas for t in beta_tuples(curve, p, q)]
+    assert got == _per_tuple_betas(curve, p, q)
+
+
+def test_irrational_instance_has_mq_betas():
+    tuples = beta_tuples(IRRATIONAL, IRRATIONAL_P, IRRATIONAL_Q)
+    assert all(isinstance(b, MQElem) for t in tuples for b in t.betas)
+    for t in tuples:
+        t.validate()
 
 
 class TestErrors:

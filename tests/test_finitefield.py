@@ -229,6 +229,17 @@ class TestFieldSizeGuard:
         with pytest.raises(ValueError, match=r"F_37\^4 has 1874161 elements"):
             check_field_order(37, 4)
 
+    def test_construction_refused_before_the_modulus_search(self):
+        with pytest.raises(ValueError, match=r"F_37\^4 has 1874161 elements"):
+            FiniteField(37, 4)
+
+    def test_huge_field_refused_at_once(self):
+        # No x^4 + c is irreducible when p = 3 mod 4, so a modulus search
+        # over F_1000003 would test all p of them before the first success.
+        with pytest.raises(ValueError, match="more than MAX_FIELD_ORDER"):
+            FiniteField(1000003, 4)
+
+
 class TestNonresidue:
     def test_values(self):
         assert least_nonresidue(3) == 2

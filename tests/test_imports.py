@@ -1,9 +1,10 @@
-"""Every name a module imports is used in it, and every private helper is
-used somewhere in the package.
+"""Every name a module imports is used in it, every import sits at module
+level, and every private helper is used somewhere in the package.
 
 Stdlib `ast` scans of the modules under src/prymcover/.  An imported name
 that never appears as a Name node, nor as the base of an attribute chain, is
 a leftover (the package's __init__.py re-exports on purpose and is skipped).
+An import inside a function body hides a dependency from the module header.
 A module-level `_`-prefixed function, class or constant that no module of
 the package loads, by name, attribute or import, is dead.
 """
@@ -41,6 +42,37 @@ def test_scan_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_level_imports(source: str):
+    """(line, function) for each import statement inside a function body."""
+    tree = ast.parse(source)
+    return sorted(
+        (node.lineno, func.name)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_scan_finds_a_function_level_import():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    return json\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from . import modp\n"
+        "        return modp\n"
+    )
+    assert function_level_imports(source) == [(3, "f"), (7, "g")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    assert function_level_imports(path.read_text()) == []
 
 
 def _private_definitions(tree):

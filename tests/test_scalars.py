@@ -11,11 +11,13 @@ from prymcover.scalars import (
     ORD_INFINITY,
     factorize,
     is_prime,
+    prime_set,
     rat_ord_p,
     rational_prime_support,
     scalar_inv,
     sqrt_adjoin,
     sqrt_decompose,
+    strip_primes,
 )
 
 
@@ -32,6 +34,21 @@ class TestIsPrime:
     def test_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+class TestPrimeSet:
+    def test_sorted_without_repeats(self):
+        assert prime_set([7, 2, 7, 3, 2]) == (2, 3, 7)
+        assert prime_set(()) == ()
+
+    @pytest.mark.parametrize("bad", [0, 1, 4, -3])
+    def test_non_primes_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"{bad} is not prime"):
+            prime_set([2, bad])
+
+    def test_strip_primes(self):
+        assert strip_primes(-2**5 * 3 * 49, [2, 7]) == 3
+        assert strip_primes(10, []) == 10
 
 
 class TestOrdP:
