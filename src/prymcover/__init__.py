@@ -25,6 +25,7 @@ from .covers import (
     BetaTuple,
     CoverCertificate,
     TowerEquations,
+    all_plus_beta_tuple,
     beta_tuples,
     cross_ratio,
     curve_through_betas,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from . import modp
-from .covers import beta_tuples
+from .covers import all_plus_beta_tuple
 from .curves import CurvePoint, HyperCurve, bad_primes
 from .errors import InternalCheckError
 from .polys import Poly
@@ -234,9 +234,9 @@ def integral_point_to_form(
     positive valuation by the unimodular substitution, the theta-rescaling,
     a shift making the special root valuations exactly 2m, and the
     2m-rescaling of Z when every affine root is special.  The marked pair
-    is checked by `covers.beta_tuples`, whose first tuple seeds the form.
+    is checked by `covers.all_plus_beta_tuple`, whose tuple seeds the form.
     """
-    first = beta_tuples(curve, p_pt, q_pt)[0]
+    first = all_plus_beta_tuple(curve, p_pt, q_pt)
     x_p, y_p = Fraction(p_pt.x), Fraction(p_pt.y)
     x_q, y_q = Fraction(q_pt.x), Fraction(q_pt.y)
     try:

@@ -72,8 +72,9 @@ def _validate_pair(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> None:
         raise ValueError("P and Q share an x-coordinate")
 
 
-def beta_tuples(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> List[BetaTuple]:
-    """All 2**(2g) beta tuples for (curve, P, Q), in lexicographic sign order.
+def _base_betas(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> List[Scalar]:
+    """The base square roots for a checked pair, the last one signed so that
+    the product is y_Q / y_P.
 
     The product of the base roots is formed once: it fixes the last sign for
     the all-plus choice, and flipping free signs flips it by their parity.
@@ -86,14 +87,24 @@ def beta_tuples(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> List[BetaTup
         for r in curve.roots
     ]
     full = _product(base)
-    if full == y_ratio:
-        last = base[-1]
-    elif -full == y_ratio:
-        last = -base[-1]
-    else:
+    if -full == y_ratio:
+        base[-1] = -base[-1]
+    elif full != y_ratio:
         raise InternalCheckError("no sign of the last beta fits the product")
+    return base
+
+
+def all_plus_beta_tuple(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> BetaTuple:
+    """The first tuple of `beta_tuples`: every free sign +, built alone."""
+    return BetaTuple(curve, p, q, tuple(_base_betas(curve, p, q)))
+
+
+def beta_tuples(curve: HyperCurve, p: CurvePoint, q: CurvePoint) -> List[BetaTuple]:
+    """All 2**(2g) beta tuples for (curve, P, Q), in lexicographic sign order."""
+    base = _base_betas(curve, p, q)
+    last = base.pop()
     out: List[BetaTuple] = []
-    for signs in itertools.product((1, -1), repeat=len(base) - 1):
+    for signs in itertools.product((1, -1), repeat=len(base)):
         betas = [s * b for s, b in zip(signs, base)]
         betas.append(last if _product(signs) == 1 else -last)
         out.append(BetaTuple(curve, p, q, tuple(betas)))

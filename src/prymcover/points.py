@@ -4,15 +4,19 @@ brute_force_points is the bounded-height oracle; recover_points matches a
 candidate list of even-degree cover models against the curve by equating
 cross-ratios of cover roots with cross-ratios of the square-root functions
 z_i = sqrt(x - alpha_i), eliminating the sign ambiguity with a 16-conjugate
-norm product.  The rational roots of each elimination polynomial come from
-`modp.rational_roots`, re-exported here.  Each distinct cross-ratio target is
-eliminated once and each root x is lifted to the curve once.
+norm product.  That norm has degree at most 16 in the target, so a recovery
+call eliminates at 17 integer nodes, interpolates in the target, checks the
+result at an 18th node, and then evaluates each distinct cross-ratio target
+with integer arithmetic.  The rational roots of each evaluated polynomial come
+from `modp.rational_roots`, re-exported here; each root x is lifted to the
+curve once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -171,6 +175,8 @@ def cr_elimination_poly(
 
     The cross-ratio identity is cleared of all sixteen square-root sign
     choices by norm-taking over each z_i, which provably lands back in Q[x].
+    Each of the sixteen factors is linear in the target, so every
+    coefficient of the result is a polynomial of degree <= 16 in it.
     """
     target = as_rational(target)
     if target in (0, 1):
@@ -201,6 +207,53 @@ def cr_elimination_poly(
     if poly.is_zero():
         raise InternalCheckError("cross-ratio elimination collapsed to zero")
     return poly
+
+
+# cr_elimination_poly is Norm(A - t B) over sixteen sign choices, each factor
+# linear in t, so each x-coefficient is a polynomial of degree <= 16 in t.
+# Seventeen nodes determine it; an eighteenth checks the interpolation.
+_T_NODES = tuple(range(2, 19))
+_T_CHECK = Fraction(-7, 3)
+
+
+def _elimination_in_t(curve: HyperCurve, q_pt: CurvePoint) -> List[Tuple[int, ...]]:
+    """The elimination over roots (0, 1, 2, 3) as an integer matrix in t.
+
+    The nodes are consecutive integers, so the k-th Newton divided
+    difference is the k-th forward difference over k!.  With L the common
+    denominator of the node polynomials, cols[j][k] = L * 16! * D_k[j] is
+    an integer.  The matrix is checked exactly against cr_elimination_poly
+    at _T_CHECK.
+    """
+    idx = (0, 1, 2, 3)
+    rows = [cr_elimination_poly(curve, q_pt, idx, t).coeffs for t in _T_NODES]
+    width = max(len(r) for r in rows)
+    lcd = math.lcm(*(c.denominator for r in rows for c in r))
+    ints = [[int(c * lcd) for c in r] + [0] * (width - len(r)) for r in rows]
+    top = len(_T_NODES) - 1
+    diffs = []
+    for k in range(top + 1):
+        weight = math.factorial(top) // math.factorial(k)
+        diffs.append([c * weight for c in ints[0]])
+        ints = [[u - v for u, v in zip(r1, r0)] for r0, r1 in zip(ints, ints[1:])]
+    cols = list(zip(*diffs))
+    scale = lcd * math.factorial(top) * _T_CHECK.denominator**top
+    direct = cr_elimination_poly(curve, q_pt, idx, _T_CHECK)
+    if Poly(_eval_in_t(cols, _T_CHECK)) != direct * scale:
+        raise InternalCheckError("interpolated elimination fails at the check node")
+    return cols
+
+
+def _eval_in_t(cols: Sequence[Sequence[int]], target: Fraction) -> List[int]:
+    """L * 16! * b^16 * cr_elimination_poly(a/b), coefficient by coefficient,
+    for a target a/b: sum_k cols[j][k] b^(16-k) prod_{i<k} (a - t_i b)."""
+    a, b = target.numerator, target.denominator
+    weights = []
+    prod = 1
+    for k, t in enumerate(_T_NODES):
+        weights.append(prod * b ** (len(_T_NODES) - 1 - k))
+        prod *= a - t * b
+    return [sum(map(operator.mul, col, weights)) for col in cols]
 
 
 def _first_rational_pole(curve: HyperCurve, func: RatFunc) -> CurvePoint:
@@ -257,8 +310,11 @@ def recover_points_detailed(
                 )
     found: Dict[Tuple, Tuple[CurvePoint, str]] = {}
     lifted = set()
+    cols = _elimination_in_t(curve, q_pt) if targets else []
     for target, via in targets.items():
-        poly = cr_elimination_poly(curve, q_pt, (0, 1, 2, 3), target)
+        poly = Poly(_eval_in_t(cols, target))
+        if poly.is_zero():
+            raise InternalCheckError("cross-ratio elimination collapsed to zero")
         for x_p in rational_roots(poly):
             if x_p in lifted:
                 continue

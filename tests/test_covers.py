@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymcover.covers import (
+    all_plus_beta_tuple,
     BetaTuple,
     beta_tuples,
     cross_ratio,
@@ -93,6 +94,20 @@ IRRATIONAL_Q = CurvePoint.affine(4, 12)
 def test_single_product_matches_per_tuple_rule(curve, p, q):
     got = [t.betas for t in beta_tuples(curve, p, q)]
     assert got == _per_tuple_betas(curve, p, q)
+
+
+@pytest.mark.parametrize(
+    "curve, p, q",
+    [(E1, E1_P, E1_Q), (G2, G2_P, G2_Q), (IRRATIONAL, IRRATIONAL_P, IRRATIONAL_Q)],
+    ids=["E1", "G2", "irrational"],
+)
+def test_all_plus_tuple_is_the_first_tuple(curve, p, q):
+    assert all_plus_beta_tuple(curve, p, q) == beta_tuples(curve, p, q)[0]
+
+
+def test_all_plus_tuple_checks_the_pair():
+    with pytest.raises(ValueError, match="share an x-coordinate"):
+        all_plus_beta_tuple(E1, E1_P, CurvePoint.affine(1, F(-1, 12)))
 
 
 def test_irrational_instance_has_mq_betas():

@@ -1,11 +1,21 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymcover.covers import beta_tuples, cross_ratio, prym_curve_equation
+from prymcover import points
+from prymcover.covers import (
+    beta_tuples,
+    cross_ratio,
+    curve_through_betas,
+    prym_curve_equation,
+)
 from prymcover.curves import CurvePoint, is_on_curve, make_curve
+from prymcover.errors import InternalCheckError
 from prymcover.points import (
+    _elimination_in_t,
+    _eval_in_t,
     CandidateSet,
     IntegralitySpec,
     brute_force_points,
@@ -211,6 +221,110 @@ class TestEliminationPoly:
         q_pt = CurvePoint.affine(x_q, F(1))
         poly = cr_elimination_poly(curve, q_pt, (0, 1, 2, 3), target)
         assert not poly.is_zero()
+
+
+class TestEliminationInT:
+    """The matrix built once per recovery call against the direct oracle."""
+
+    @given(
+        st.sampled_from([5, 7]).flatmap(
+            lambda n: st.lists(
+                st.integers(min_value=-9, max_value=9),
+                min_size=n,
+                max_size=n,
+                unique=True,
+            )
+        ),
+        st.lists(
+            st.fractions(min_value=-40, max_value=40, max_denominator=30),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_direct_elimination(self, root_ints, targets):
+        roots = [F(r) for r in root_ints]
+        curve = make_curve(roots)
+        q_pt = CurvePoint.affine(max(roots) + 1, F(1))
+        cols = _elimination_in_t(curve, q_pt)
+        for target in targets:
+            if target in (0, 1):
+                continue
+            got = Poly(_eval_in_t(cols, target))
+            direct = cr_elimination_poly(curve, q_pt, (0, 1, 2, 3), target)
+            assert got.degree == direct.degree
+            ratio = got.lead / direct.lead
+            assert ratio != 0
+            assert all(g == ratio * d for g, d in zip(got.coeffs, direct.coeffs))
+            assert rational_roots(got) == rational_roots(direct)
+
+    def test_wrong_node_fails_the_check_node(self, monkeypatch):
+        direct = points.cr_elimination_poly
+
+        def wrong_at_five(curve, q_pt, idx, target):
+            poly = direct(curve, q_pt, idx, target)
+            return poly + Poly.x() if target == 5 else poly
+
+        monkeypatch.setattr(points, "cr_elimination_poly", wrong_at_five)
+        spec = IntegralitySpec(ONE_OVER_X, (), 100)
+        with pytest.raises(InternalCheckError, match="check node"):
+            recover_points_detailed(G2, spec, _g2_candidates())
+
+    @pytest.mark.parametrize("count, calls", [(16, 18), (0, 0)])
+    def test_eliminations_per_call(self, monkeypatch, count, calls):
+        # 17 interpolation nodes and one check node, whatever the number of
+        # targets; none without a target
+        seen = []
+        direct = points.cr_elimination_poly
+
+        def counted(*args):
+            seen.append(args[3])
+            return direct(*args)
+
+        monkeypatch.setattr(points, "cr_elimination_poly", counted)
+        spec = IntegralitySpec(ONE_OVER_X, (), 100)
+        cands = _g2_candidates(count) if count else CandidateSet(2, ())
+        recover_points_detailed(G2, spec, cands)
+        assert len(seen) == calls
+
+
+def _recover_per_target(curve, spec, candidates):
+    """Recovery with one direct elimination per distinct target."""
+    q_pt = points._first_rational_pole(curve, spec.func)
+    f = curve.poly()
+    targets = {}
+    for ci, cand in enumerate(candidates.curves):
+        gammas = cand.rational_roots()
+        for combo in itertools.permutations(range(len(gammas)), 4):
+            target = as_rational(cross_ratio(*(gammas[i] for i in combo)))
+            if target not in (0, 1) and target not in targets:
+                targets[target] = "candidate %d, roots (%d,%d,%d,%d), cr %s" % (
+                    ci,
+                    *combo,
+                    target,
+                )
+    found = {}
+    for target, via in targets.items():
+        poly = cr_elimination_poly(curve, q_pt, (0, 1, 2, 3), target)
+        for x_p in rational_roots(poly):
+            pts = points._points_above(f, x_p)
+            if pts and points._is_s_integral(spec, pts[0]):
+                for pt in pts:
+                    found.setdefault(points._point_sort_key(pt), (pt, via))
+    for pt in exceptional_points(curve, q_pt):
+        if is_on_curve(curve, pt) and points._is_s_integral(spec, pt):
+            found.setdefault(points._point_sort_key(pt), (pt, "exceptional set"))
+    return [found[k] for k in sorted(found)]
+
+
+def test_genus_three_recovery_matches_per_target_elimination():
+    curve, p_pt, q_pt = curve_through_betas([2, 3, 5, 7, F(1, 2), F(1, 3), F(2, 5)])
+    spec = IntegralitySpec(ONE_OVER_X, (2, 3, 5, 7), 100)
+    tuples = beta_tuples(curve, p_pt, q_pt)
+    cands = CandidateSet(3, tuple(prym_curve_equation(t) for t in tuples[:2]))
+    detail = recover_points_detailed(curve, spec, cands)
+    assert detail == _recover_per_target(curve, spec, cands)
+    assert (p_pt, "candidate 0, roots (0,1,2,4), cr 5/3") in detail
 
 
 class TestExceptionalPoints:
