@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .polys import Poly, clear_denominators, poly_gcd
+from .polys import Poly, clear_denominators
 from .scalars import Rat, as_rational, is_prime
 
 Residues = Sequence[int]
@@ -140,31 +140,62 @@ def _eval(ints: Sequence[int], x: int, m: int) -> int:
     return acc
 
 
+def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """gcd over Z of two nonzero integer polynomials, primitive with positive
+    lead, by the primitive pseudo-remainder sequence."""
+    while True:
+        g = math.gcd(*b) if b[-1] > 0 else -math.gcd(*b)
+        b = [c // g for c in b]
+        r, lead, d = list(a), b[-1], len(b) - 1
+        while len(r) > d:
+            c = r.pop()
+            r = [lead * x for x in r]
+            for j, bj in enumerate(b[:-1], len(r) - d):
+                r[j] -= c * bj
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, r
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """a / b over Z; InternalCheckError unless b divides a exactly."""
+    r, q = list(a), []
+    while len(r) >= len(b) and r[-1] % b[-1] == 0:
+        c = r[-1] // b[-1]
+        q.append(c)
+        for j, bj in enumerate(b, len(r) - len(b)):
+            r[j] -= c * bj
+        r.pop()
+    if any(r):
+        raise InternalCheckError("squarefree part division left a remainder")
+    return q[::-1]
+
+
 def rational_roots(f: Poly) -> List[Fraction]:
     """The distinct rational roots of a nonzero polynomial over Q, ascending.
 
-    A root a/b in lowest terms of the squarefree part, with integer
+    With f cleared to integers and x^k stripped, the squarefree part is
+    f / gcd(f, f') over Z, the gcd by primitive pseudo-remainders and the
+    division checked exact.  A root a/b in lowest terms of that part, with
     coefficients a_0..a_n, has a | a_0 and b | a_n.  Modulo a prime l not
     dividing a_n at which that part stays squarefree, every root is simple,
     so its residue lifts uniquely to l^k > 2 |a_0| |a_n|, and rational
-    reconstruction returns a/b.  Each candidate is checked by exact
-    evaluation.
+    reconstruction returns a/b.  Each candidate is checked exactly:
+    sum_i a_i a^i b^(n-i) = 0.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
-    roots = set()
-    low = 0
-    while f.coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.add(Fraction(0))
-        f = Poly(f.coeffs[low:])
-    if f.degree >= 1:
-        sqf, r = divmod(f, poly_gcd(f, f.derivative()))
-        if not r.is_zero():
-            raise InternalCheckError("squarefree part division left a remainder")
-        ints, _ = clear_denominators(sqf)
+    ints, _ = clear_denominators(f)
+    low = next(i for i, c in enumerate(ints) if c)
+    roots = {Fraction(0)} if low else set()
+    ints = ints[low:]
+    if len(ints) > 1:
         deriv = [i * c for i, c in enumerate(ints)][1:]
+        ints = _exact_quotient(ints, _primitive_gcd(ints, deriv))
+        deriv = [i * c for i, c in enumerate(ints)][1:]
+        n = len(ints) - 1
         ell = 2
         while ints[-1] % ell == 0 or not is_squarefree(ints, ell):
             ell += 1
@@ -180,6 +211,9 @@ def rational_roots(f: Poly) -> List[Fraction]:
                 m *= m
                 x = (x - _eval(ints, x, m) * pow(_eval(deriv, x, m), -1, m)) % m
             cand = _rat_reconstruct(x, m, num_bound, den_bound)
-            if cand is not None and sqf(cand) == 0:
+            if cand is None:
+                continue
+            a, b = cand.numerator, cand.denominator
+            if sum(c * a**i * b ** (n - i) for i, c in enumerate(ints)) == 0:
                 roots.add(cand)
     return sorted(roots)

@@ -4,12 +4,15 @@ brute_force_points is the bounded-height oracle; recover_points matches a
 candidate list of even-degree cover models against the curve by equating
 cross-ratios of cover roots with cross-ratios of the square-root functions
 z_i = sqrt(x - alpha_i), eliminating the sign ambiguity with a 16-conjugate
-norm product.  That norm has degree at most 16 in the target, so a recovery
-call eliminates at 17 integer nodes, interpolates in the target, checks the
-result at an 18th node, and then evaluates each distinct cross-ratio target
-with integer arithmetic.  The rational roots of each evaluated polynomial come
-from `modp.rational_roots`, re-exported here; each root x is lifted to the
-curve once.
+norm product.  The norm is taken over the integers, with the square roots
+scaled by a common denominator D; the result, D^32 b^16 times the rational
+norm at a target a/b, is divided back exactly.  That norm has degree at most
+16 in the target, so a recovery call eliminates at 17 integer nodes,
+interpolates in the target, checks the result at an 18th node, and then
+evaluates each distinct cross-ratio target, enumerated on integer-scaled
+roots, with integer arithmetic.  The rational roots of each evaluated
+polynomial come from `modp.rational_roots`, re-exported here; each root x is
+lifted to the curve once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import cross_ratio
 from .curves import CurvePoint, HyperCurve, hyperelliptic_involution, is_on_curve
@@ -116,52 +119,36 @@ def brute_force_points(curve: HyperCurve, spec: IntegralitySpec) -> List[CurvePo
     return sorted(out, key=_point_sort_key)
 
 
-# The elimination works in the algebra generated over Q[x] by the eight
-# square roots c_i = sqrt(x_Q - alpha_i) (constants) and z_i =
-# sqrt(x - alpha_i) (functions of x).  Elements are maps from the subset of
-# live generators to Poly coefficients; atoms 0..3 are the c_i, 4..7 the z_i.
-_Elem = Dict[FrozenSet[int], Poly]
+# The elimination works in the algebra generated over Z[x] by the eight
+# square roots c_i = sqrt(D (x_Q - alpha_i)) and z_i = sqrt(D x - D alpha_i),
+# D the common denominator of x_Q and the alpha_i.  Elements map a bitmask of
+# live generators (bits 0..3 the c_i, 4..7 the z_i) to integer lists in x.
+_Elem = Dict[int, List[int]]
 
 
-def _elem_mul(e1: _Elem, e2: _Elem, squares: Sequence[Poly]) -> _Elem:
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _elem_mul(e1: _Elem, e2: _Elem, squares: Sequence[List[int]]) -> _Elem:
     out: _Elem = {}
     for k1, v1 in e1.items():
         for k2, v2 in e2.items():
-            v = v1 * v2
-            for atom in k1 & k2:
-                v = v * squares[atom]
+            v = _int_mul(v1, v2)
+            common = k1 & k2
+            for atom, sq in enumerate(squares):
+                if common >> atom & 1:
+                    v = _int_mul(v, sq)
             key = k1 ^ k2
             acc = out.get(key)
-            v = v if acc is None else acc + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
-
-
-def _elem_flip(e: _Elem, atom: int) -> _Elem:
-    return {k: (-v if atom in k else v) for k, v in e.items()}
-
-
-def _elem_sub(e1: _Elem, e2: _Elem) -> _Elem:
-    out = dict(e1)
-    for k, v in e2.items():
-        diff = out.get(k, Poly()) - v
-        if diff.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = diff
-    return out
-
-
-def _pair_term(c_atom: int, z_atom: int, c_atom2: int, z_atom2: int) -> _Elem:
-    """c_a z_b - c_a2 z_b2 as an algebra element."""
-    one = Poly([Fraction(1)])
-    return {
-        frozenset({c_atom, 4 + z_atom}): one,
-        frozenset({c_atom2, 4 + z_atom2}): -one,
-    }
+            if acc is not None:
+                v = [c + e for c, e in itertools.zip_longest(acc, v, fillvalue=0)]
+            out[key] = v
+    return {k: v for k, v in out.items() if any(v)}
 
 
 def cr_elimination_poly(
@@ -177,6 +164,10 @@ def cr_elimination_poly(
     choices by norm-taking over each z_i, which provably lands back in Q[x].
     Each of the sixteen factors is linear in the target, so every
     coefficient of the result is a polynomial of degree <= 16 in it.
+
+    The norm runs on integers.  Scaling every square by D scales each
+    degree-4 term by D^2, and a target a/b enters as b lhs - a rhs, so the
+    integer norm is D^32 b^16 times this one; that is divided out at the end.
     """
     target = as_rational(target)
     if target in (0, 1):
@@ -190,23 +181,29 @@ def cr_elimination_poly(
         raise ValueError("root index out of range")
     x_q = Fraction(q_pt.x)
     alphas = [roots[i] for i in idx]
-    squares = [Poly.constant(x_q - a) for a in alphas] + [
-        Poly([-a, Fraction(1)]) for a in alphas
-    ]
-    # (c1 z3 - c3 z1)(c2 z4 - c4 z2) - t (c2 z3 - c3 z2)(c1 z4 - c4 z1)
-    lhs = _elem_mul(_pair_term(0, 2, 2, 0), _pair_term(1, 3, 3, 1), squares)
-    rhs = _elem_mul(_pair_term(1, 2, 2, 1), _pair_term(0, 3, 3, 0), squares)
-    rhs = {k: v * Poly.constant(target) for k, v in rhs.items()}
-    elem = _elem_sub(lhs, rhs)
-    for z_atom in (4, 5, 6, 7):
-        elem = _elem_mul(elem, _elem_flip(elem, z_atom), squares)
-    stray = [k for k in elem if k]
-    if stray:
+    d = math.lcm(x_q.denominator, *(a.denominator for a in alphas))
+    xq_d = x_q.numerator * (d // x_q.denominator)
+    alphas_d = [a.numerator * (d // a.denominator) for a in alphas]
+    squares = [[xq_d - a] for a in alphas_d] + [[-a, d] for a in alphas_d]
+    # b (c1 z3 - c3 z1)(c2 z4 - c4 z2) - a (c2 z3 - c3 z2)(c1 z4 - c4 z1),
+    # each factor c_i z_j - c_j z_i, with the roots numbered from 0
+    a, b = target.numerator, target.denominator
+    elem: _Elem = {}
+    for scale, (i, j), (k, l) in ((b, (0, 2), (1, 3)), (-a, (1, 2), (0, 3))):
+        for s1, c1, z1 in ((scale, i, j), (-scale, j, i)):
+            for s2, c2, z2 in ((s1, k, l), (-s1, l, k)):
+                key = 1 << c1 | 1 << (4 + z1) | 1 << c2 | 1 << (4 + z2)
+                elem[key] = [elem.get(key, [0])[0] + s2]
+    for bit in (16, 32, 64, 128):
+        conj = {k: [-c for c in v] if k & bit else v for k, v in elem.items()}
+        elem = _elem_mul(elem, conj, squares)
+    if any(elem.keys() - {0}):
         raise InternalCheckError("norm product left unresolved square roots")
-    poly = elem.get(frozenset(), Poly())
-    if poly.is_zero():
+    ints = elem.get(0)
+    if ints is None:
         raise InternalCheckError("cross-ratio elimination collapsed to zero")
-    return poly
+    scale = d**32 * b**16
+    return Poly(Fraction(c, scale) for c in ints)
 
 
 # cr_elimination_poly is Norm(A - t B) over sixteen sign choices, each factor
@@ -283,6 +280,33 @@ def exceptional_points(
     return out
 
 
+def _distinct_targets(candidates: CandidateSet) -> Dict[Fraction, str]:
+    """Each distinct non-degenerate cross-ratio of four candidate roots in
+    first-seen order, named by the first permutation reaching it.  The roots
+    are scaled to integers, which fixes every cross-ratio, and a permutation
+    is skipped when a double transposition of it, which fixes it too, came
+    earlier."""
+    targets: Dict[Fraction, str] = {}
+    for ci, cand in enumerate(candidates.curves):
+        gammas = cand.rational_roots()
+        d = math.lcm(*(g.denominator for g in gammas))
+        ints = [g.numerator * (d // g.denominator) for g in gammas]
+        seen = set()
+        for combo in itertools.permutations(range(len(ints)), 4):
+            if combo in seen:
+                continue
+            i, j, k, l = combo
+            seen.update(((j, i, l, k), (k, l, i, j), (l, k, j, i)))
+            target = cross_ratio(*(ints[i] for i in combo))
+            if target not in (0, 1) and target not in targets:
+                targets[target] = "candidate %d, roots (%d,%d,%d,%d), cr %s" % (
+                    ci,
+                    *combo,
+                    target,
+                )
+    return targets
+
+
 def recover_points_detailed(
     curve: HyperCurve,
     spec: IntegralitySpec,
@@ -297,17 +321,7 @@ def recover_points_detailed(
         raise ValueError("candidate genus does not match the curve")
     q_pt = _first_rational_pole(curve, spec.func)
     f = curve.poly()
-    targets: Dict[Fraction, str] = {}
-    for ci, cand in enumerate(candidates.curves):
-        gammas = cand.rational_roots()
-        for combo in itertools.permutations(range(len(gammas)), 4):
-            target = as_rational(cross_ratio(*(gammas[i] for i in combo)))
-            if target not in (0, 1) and target not in targets:
-                targets[target] = "candidate %d, roots (%d,%d,%d,%d), cr %s" % (
-                    ci,
-                    *combo,
-                    target,
-                )
+    targets = _distinct_targets(candidates)
     found: Dict[Tuple, Tuple[CurvePoint, str]] = {}
     lifted = set()
     cols = _elimination_in_t(curve, q_pt) if targets else []

@@ -62,6 +62,7 @@ from prymcover.points import (
     cr_elimination_poly,
     exceptional_points,
     recover_points,
+    recover_points_detailed,
 )
 from prymcover.polys import Poly, RatFunc
 from prymcover.scalars import rat_ord_p, rational_prime_support
@@ -541,6 +542,38 @@ def test_criterion_7_recovery_superset():
     assert not failures, failures
     assert brute
     assert elapsed < 60.0
+
+
+G3_BETAS = (2, 3, 5, 7, F(1, 2), F(1, 3), F(2, 5))
+
+
+def test_genus_three_recovery_from_all_models():
+    # the 64 Prym models of a genus-3 instance, f = 1/x, S = {2, 3, 5, 7}:
+    # 1629 distinct cross-ratio targets, of which only 5/3 lifts to P
+    curve, p_pt, q_pt = curve_through_betas(list(G3_BETAS))
+    spec = IntegralitySpec(RatFunc(Poly.constant(F(1)), Poly.x()), (2, 3, 5, 7), 100)
+    tuples = beta_tuples(curve, p_pt, q_pt)
+    cands = CandidateSet(3, tuple(prym_curve_equation(t) for t in tuples))
+    t0 = time.perf_counter()
+    detail = recover_points_detailed(curve, spec, cands)
+    elapsed = time.perf_counter() - t0
+    via = "candidate 0, roots (0,1,2,4), cr 5/3"
+    y = F(57992959122997248, 15625)
+    exc = "exceptional set"
+    assert detail == [
+        (CurvePoint.affine(F(-129024, 25), 0), exc),
+        (CurvePoint.affine(F(-73728, 25), 0), exc),
+        (CurvePoint.affine(F(-48384, 25), 0), exc),
+        (CurvePoint.affine(F(387072, 25), -y), via),
+        (CurvePoint.affine(F(387072, 25), y), via),
+        (CurvePoint.affine(F(395136, 25), 0), exc),
+        (CurvePoint.affine(16128, 0), exc),
+        (CurvePoint.affine(F(435456, 25), 0), exc),
+        (CurvePoint.affine(F(516096, 25), 0), exc),
+        (CurvePoint.infinity(), exc),
+    ]
+    assert p_pt == CurvePoint.affine(F(387072, 25), y)
+    assert elapsed < 2.5
 
 
 def test_criterion_8_elimination_nonzero():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymcover import modp
+from prymcover.errors import InternalCheckError
 from prymcover.polys import Poly
 
 _residues = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
@@ -120,3 +121,39 @@ class TestRationalRoots:
         split = _planted(expanded) * Poly([F(lead)])
         cofactor = Poly([F(3), F(1), F(2)])
         assert modp.rational_roots(split * cofactor) == sorted({r for r, _ in planted})
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-30, max_value=30, max_denominator=12),
+                st.integers(min_value=1, max_value=3),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda t: t[0],
+        ),
+        st.integers(min_value=1, max_value=20),
+        st.fractions(min_value=F(1, 60), max_value=60, max_denominator=60),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_planted_roots_under_a_squared_quadratic(
+        self, planted, c, content, sign, low
+    ):
+        # (x^2 + c)^2 is irreducible and repeated, so the gcd over Z is
+        # never trivial; content and sign do not move the roots
+        expanded = [r for r, k in planted for _ in range(k)]
+        quad = Poly([F(c), F(0), F(1)])
+        f = _planted(expanded) * quad * quad * Poly([sign * content])
+        f = Poly([F(0)] * low + list(f.coeffs))
+        expected = {r for r, _ in planted} | ({F(0)} if low else set())
+        assert modp.rational_roots(f) == sorted(expected)
+
+    @pytest.mark.parametrize("wrong", [[1, 1], [2]])
+    def test_squarefree_division_remainder_raises(self, monkeypatch, wrong):
+        # (x - 2)^2 (x^2 + 1): neither x + 1 nor 2 divides it over Z
+        monkeypatch.setattr(modp, "_primitive_gcd", lambda a, b: wrong)
+        f = _planted([F(2), F(2)]) * Poly([F(1), F(0), F(1)])
+        with pytest.raises(InternalCheckError, match="left a remainder"):
+            modp.rational_roots(f)

@@ -14,6 +14,7 @@ from prymcover.covers import (
 from prymcover.curves import CurvePoint, is_on_curve, make_curve
 from prymcover.errors import InternalCheckError
 from prymcover.points import (
+    _distinct_targets,
     _elimination_in_t,
     _eval_in_t,
     CandidateSet,
@@ -223,6 +224,91 @@ class TestEliminationPoly:
         assert not poly.is_zero()
 
 
+def _ref_mul(e1, e2, squares):
+    out = {}
+    for k1, v1 in e1.items():
+        for k2, v2 in e2.items():
+            v = v1 * v2
+            for atom in k1 & k2:
+                v = v * squares[atom]
+            key = k1 ^ k2
+            acc = out.get(key)
+            v = v if acc is None else acc + v
+            if v.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return out
+
+
+def _ref_pair(c_atom, z_atom, c_atom2, z_atom2):
+    one = Poly([F(1)])
+    return {
+        frozenset({c_atom, 4 + z_atom}): one,
+        frozenset({c_atom2, 4 + z_atom2}): -one,
+    }
+
+
+def _reference_elimination(curve, q_pt, idx, target):
+    """The norm product over Q[x]: elements map frozensets of live square
+    roots (c_i = sqrt(x_Q - alpha_i) as atoms 0..3, z_i = sqrt(x - alpha_i)
+    as atoms 4..7) to Poly coefficients with Fraction entries."""
+    roots = curve.rational_roots()
+    x_q = F(q_pt.x)
+    alphas = [roots[i] for i in idx]
+    squares = [Poly.constant(x_q - a) for a in alphas] + [
+        Poly([-a, F(1)]) for a in alphas
+    ]
+    lhs = _ref_mul(_ref_pair(0, 2, 2, 0), _ref_pair(1, 3, 3, 1), squares)
+    rhs = _ref_mul(_ref_pair(1, 2, 2, 1), _ref_pair(0, 3, 3, 0), squares)
+    elem = dict(lhs)
+    for k, v in rhs.items():
+        diff = elem.get(k, Poly()) - v * Poly.constant(target)
+        if diff.is_zero():
+            elem.pop(k, None)
+        else:
+            elem[k] = diff
+    for z_atom in (4, 5, 6, 7):
+        flipped = {k: (-v if z_atom in k else v) for k, v in elem.items()}
+        elem = _ref_mul(elem, flipped, squares)
+    assert all(not k for k in elem)
+    return elem.get(frozenset(), Poly())
+
+
+class TestScaledKernel:
+    """cr_elimination_poly runs on integers scaled by D^32 b^16; the
+    rational norm product is the oracle, coefficient for coefficient."""
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=5,
+            max_size=5,
+            unique=True,
+        ),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        st.permutations(range(5)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_rational_norm(self, roots, x_q, target, perm):
+        if x_q in roots:
+            x_q += F(1, 13)
+        if target in (0, 1):
+            target = F(-7, 3)
+        curve = make_curve(roots)
+        q_pt = CurvePoint.affine(x_q, F(1))
+        idx = tuple(perm[:4])
+        got = cr_elimination_poly(curve, q_pt, idx, target)
+        assert got == _reference_elimination(curve, q_pt, idx, target)
+
+    @pytest.mark.parametrize("target", [F(t) for t in range(2, 19)] + [F(-7, 3)])
+    def test_g2_at_the_interpolation_nodes(self, target):
+        # G2 has D = 48: the roots have denominators 3, 8, 24, 3 and 48
+        got = cr_elimination_poly(G2, G2_Q_POLE, (0, 1, 2, 3), target)
+        assert got == _reference_elimination(G2, G2_Q_POLE, (0, 1, 2, 3), target)
+
+
 class TestEliminationInT:
     """The matrix built once per recovery call against the direct oracle."""
 
@@ -325,6 +411,35 @@ def test_genus_three_recovery_matches_per_target_elimination():
     detail = recover_points_detailed(curve, spec, cands)
     assert detail == _recover_per_target(curve, spec, cands)
     assert (p_pt, "candidate 0, roots (0,1,2,4), cr 5/3") in detail
+
+
+def _targets_by_loop(candidates):
+    """Target enumeration over unscaled roots, one cross_ratio per
+    permutation."""
+    targets = {}
+    for ci, cand in enumerate(candidates.curves):
+        gammas = cand.rational_roots()
+        for combo in itertools.permutations(range(len(gammas)), 4):
+            target = as_rational(cross_ratio(*(gammas[i] for i in combo)))
+            if target not in (0, 1) and target not in targets:
+                targets[target] = "candidate %d, roots (%d,%d,%d,%d), cr %s" % (
+                    ci,
+                    *combo,
+                    target,
+                )
+    return targets
+
+
+def test_target_enumeration_matches_unscaled_loop():
+    g2 = _g2_candidates(16)
+    curve, p_pt, q_pt = curve_through_betas([2, 3, 5, 7, F(1, 2), F(1, 3), F(2, 5)])
+    g3 = CandidateSet(
+        3, tuple(prym_curve_equation(t) for t in beta_tuples(curve, p_pt, q_pt))
+    )
+    assert len(g2.curves) == 16 and len(g3.curves) == 64
+    for cands in (g2, g3):
+        got = list(_distinct_targets(cands).items())
+        assert got == list(_targets_by_loop(cands).items())
 
 
 class TestExceptionalPoints:
