@@ -42,6 +42,18 @@ def str_to_rat(s: str) -> Fraction:
         raise ValueError(f"not an exact rational string: {s!r}") from None
 
 
+def _list(obj: Any, what: str) -> List[Any]:
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list, got {obj!r}")
+    return obj
+
+
+def _int(obj: Any) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"expected an integer, got {obj!r}")
+    return obj
+
+
 def scalar_to_json(s: Scalar) -> Union[str, Dict[str, Any]]:
     if isinstance(s, MQElem) and not s.is_rational:
         gens = s.generators
@@ -62,7 +74,9 @@ def json_to_scalar(obj: Union[str, Dict[str, Any]]) -> Scalar:
         return str_to_rat(obj)
     if not isinstance(obj, dict) or set(obj) != {"gens", "coords"}:
         raise ValueError(f"not a scalar encoding: {obj!r}")
-    gens = [int(d) for d in obj["gens"]]
+    gens = [_int(d) for d in _list(obj["gens"], "generators")]
+    if not isinstance(obj["coords"], dict):
+        raise ValueError(f"scalar coordinates must be an object: {obj!r}")
     coords: Dict[tuple, Fraction] = {}
     for key, val in obj["coords"].items():
         idxs = [] if key == "" else [int(i) for i in key.split(",")]
@@ -96,7 +110,7 @@ def json_to_curve(obj: Dict[str, Any]) -> HyperCurve:
     if not isinstance(obj, dict) or "lead" not in obj or "roots" not in obj:
         raise ValueError("curve encoding needs 'lead' and 'roots'")
     return make_curve(
-        [json_to_scalar(r) for r in obj["roots"]],
+        [json_to_scalar(r) for r in _list(obj["roots"], "curve roots")],
         json_to_scalar(obj["lead"]),
         bool(obj.get("twist_unknown", False)),
     )
@@ -137,7 +151,7 @@ def json_to_cover_certificate(
         curve,
         json_to_point(obj["P"]),
         json_to_point(obj["Q"]),
-        tuple(json_to_scalar(b) for b in obj["beta"]),
+        tuple(json_to_scalar(b) for b in _list(obj["beta"], "beta")),
     )
     return CoverCertificate(bt, json_to_poly(obj["h"]), json_to_poly(obj["F"]))
 
@@ -179,8 +193,11 @@ def form_to_json(form: BinaryForm) -> Dict[str, Any]:
 def json_to_form(obj: Dict[str, Any]) -> BinaryForm:
     if not isinstance(obj, dict) or "factors" not in obj:
         raise ValueError("form encoding needs 'factors'")
+    factors = _list(obj["factors"], "form factors")
+    if not all(isinstance(f, list) and len(f) == 2 for f in factors):
+        raise ValueError("each form factor must be a [delta, gamma] pair")
     form = BinaryForm(
-        tuple((str_to_rat(d), str_to_rat(g)) for d, g in obj["factors"]),
+        tuple((str_to_rat(d), str_to_rat(g)) for d, g in factors),
         str_to_rat(obj.get("lambda", "1")),
     )
     if "degree" in obj and form.degree != obj["degree"]:
@@ -202,14 +219,21 @@ def form_certificate_to_json(cert: FormCertificate) -> Dict[str, Any]:
 def json_to_form_certificate(obj: Dict[str, Any]) -> FormCertificate:
     if not isinstance(obj, dict) or not {"form", "S", "entries"} <= set(obj):
         raise ValueError("form certificate needs form, S and entries")
+    entries = _list(obj["entries"], "certificate entries")
+    fields = {"p", "m", "n", "roots"}
+    if not all(isinstance(e, dict) and fields <= set(e) for e in entries):
+        raise ValueError("each certificate entry needs p, m, n and roots")
     return FormCertificate(
         json_to_form(obj["form"]),
-        tuple(int(p) for p in obj["S"]),
+        tuple(_int(p) for p in _list(obj["S"], "S")),
         tuple(
             PrimeEntry(
-                int(e["p"]), int(e["m"]), int(e["n"]), tuple(int(i) for i in e["roots"])
+                _int(e["p"]),
+                _int(e["m"]),
+                _int(e["n"]),
+                tuple(_int(i) for i in _list(e["roots"], "entry roots")),
             )
-            for e in obj["entries"]
+            for e in entries
         ),
     )
 
@@ -232,7 +256,8 @@ def json_to_candidate_set(obj: Dict[str, Any]) -> CandidateSet:
     if not isinstance(obj, dict) or "genus" not in obj or "curves" not in obj:
         raise ValueError("candidate set encoding needs 'genus' and 'curves'")
     return CandidateSet(
-        int(obj["genus"]), tuple(json_to_curve(c) for c in obj["curves"])
+        _int(obj["genus"]),
+        tuple(json_to_curve(c) for c in _list(obj["curves"], "candidate curves")),
     )
 
 

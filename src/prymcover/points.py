@@ -4,13 +4,13 @@ brute_force_points is the bounded-height oracle; recover_points matches a
 candidate list of even-degree cover models against the curve by equating
 cross-ratios of cover roots with cross-ratios of the square-root functions
 z_i = sqrt(x - alpha_i), eliminating the sign ambiguity with a 16-conjugate
-norm product.  The norm is taken over the integers, with the square roots
-scaled by a common denominator D; the result, D^32 b^16 times the rational
-norm at a target a/b, is divided back exactly.  That norm has degree at most
-16 in the target, so a recovery call eliminates at 17 integer nodes,
-interpolates in the target, checks the result at an 18th node, and then
-evaluates each distinct cross-ratio target, enumerated on integer-scaled
-roots, with integer arithmetic.  The rational roots of each evaluated
+norm product.  The norm is taken once over the integers, with the square
+roots scaled by a common denominator D and the target a/b kept as a
+variable: each x-coefficient is a form of degree 16 in (a, b), so the result
+is an integer matrix with 17 columns.  A recovery call builds it once and
+evaluates it at each distinct cross-ratio target, enumerated on
+integer-scaled roots; cr_elimination_poly evaluates it at one target and
+divides D^32 b^16 back out.  The rational roots of each evaluated
 polynomial come from `modp.rational_roots`, re-exported here; each root x is
 lifted to the curve once.
 """
@@ -119,18 +119,31 @@ def brute_force_points(curve: HyperCurve, spec: IntegralitySpec) -> List[CurvePo
     return sorted(out, key=_point_sort_key)
 
 
-# The elimination works in the algebra generated over Z[x] by the eight
+# The elimination works in the algebra generated over Z[x, a] by the eight
 # square roots c_i = sqrt(D (x_Q - alpha_i)) and z_i = sqrt(D x - D alpha_i),
-# D the common denominator of x_Q and the alpha_i.  Elements map a bitmask of
-# live generators (bits 0..3 the c_i, 4..7 the z_i) to integer lists in x.
+# D the common denominator of x_Q and the alpha_i, with a target a/b kept as
+# a variable.  Elements map a bitmask of live generators (bits 0..3 the c_i,
+# 4..7 the z_i) to a polynomial in x and a, packed into one int list with
+# x^j a^k at _STRIDE * j + k.  Every term of an element has the same degree
+# in (a, b), so b stays implicit; that degree never exceeds 16, so the
+# product of two packed lists is their packed product.
 _Elem = Dict[int, List[int]]
+_STRIDE = 17
+
+
+def _scaled(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The least common denominator d of the values and the integers d * v."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
+        if ca:
+            for j, cb in terms:
+                out[i + j] += ca * cb
     return out
 
 
@@ -151,6 +164,59 @@ def _elem_mul(e1: _Elem, e2: _Elem, squares: Sequence[List[int]]) -> _Elem:
     return {k: v for k, v in out.items() if any(v)}
 
 
+def _norm_matrix(squares: Sequence[List[int]]) -> List[List[int]]:
+    """The norm of b lhs - a rhs over the sixteen sign choices of the z_i,
+    as the matrix M with M[j][k] the coefficient of x^j a^k b^(16-k)."""
+    # b (c1 z3 - c3 z1)(c2 z4 - c4 z2) - a (c2 z3 - c3 z2)(c1 z4 - c4 z1),
+    # each factor c_i z_j - c_j z_i, with the roots numbered from 0; b lhs
+    # fills the a^0 slot of each seed term and -a rhs the a^1 slot
+    seeds = ((0, 1, (0, 2), (1, 3)), (1, -1, (1, 2), (0, 3)))
+    elem: _Elem = {}
+    for power, sign, (i, j), (k, l) in seeds:
+        for s1, c1, z1 in ((sign, i, j), (-sign, j, i)):
+            for s2, c2, z2 in ((s1, k, l), (-s1, l, k)):
+                key = 1 << c1 | 1 << (4 + z1) | 1 << c2 | 1 << (4 + z2)
+                elem.setdefault(key, [0, 0])[power] += s2
+    for bit in (16, 32, 64, 128):
+        conj = {k: [-c for c in v] if k & bit else v for k, v in elem.items()}
+        elem = _elem_mul(elem, conj, squares)
+    if any(elem.keys() - {0}):
+        raise InternalCheckError("norm product left unresolved square roots")
+    packed = elem.get(0, [])
+    packed += [0] * (-len(packed) % _STRIDE)
+    return [packed[j : j + _STRIDE] for j in range(0, len(packed), _STRIDE)]
+
+
+def _elimination_matrix(
+    curve: HyperCurve, q_pt: CurvePoint, idx: Sequence[int]
+) -> Tuple[List[List[int]], int]:
+    """The norm matrix over the indexed roots and the scale D.
+
+    At x = x_Q every z_i equals c_i, so both factors of the all-plus
+    conjugate vanish, and with them every column of the matrix."""
+    roots = curve.rational_roots()
+    d, (xq, *alphas) = _scaled([Fraction(q_pt.x)] + [roots[i] for i in idx])
+    squares = [[xq - a] for a in alphas] + [
+        [-a] + [0] * (_STRIDE - 1) + [d] for a in alphas
+    ]
+    rows = _norm_matrix(squares)
+    top = len(rows) - 1
+    powers = [xq**j * d ** (top - j) for j in range(top + 1)]
+    if any(sum(map(operator.mul, col, powers)) for col in zip(*rows)):
+        raise InternalCheckError("elimination matrix does not vanish at x = x_Q")
+    return rows, d
+
+
+def _at_target(rows: Sequence[Sequence[int]], target: Fraction) -> List[int]:
+    """The matrix at a target a/b: sum_k M[j][k] a^k b^(16-k) for each x^j."""
+    a, b = target.numerator, target.denominator
+    powers = [a**k * b ** (_STRIDE - 1 - k) for k in range(_STRIDE)]
+    ints = [sum(map(operator.mul, row, powers)) for row in rows]
+    if not any(ints):
+        raise InternalCheckError("cross-ratio elimination collapsed to zero")
+    return ints
+
+
 def cr_elimination_poly(
     curve: HyperCurve,
     q_pt: CurvePoint,
@@ -163,7 +229,8 @@ def cr_elimination_poly(
     The cross-ratio identity is cleared of all sixteen square-root sign
     choices by norm-taking over each z_i, which provably lands back in Q[x].
     Each of the sixteen factors is linear in the target, so every
-    coefficient of the result is a polynomial of degree <= 16 in it.
+    coefficient of the result is a form of degree 16 in (a, b) for a
+    target a/b; the norm is taken once with the target as a variable.
 
     The norm runs on integers.  Scaling every square by D scales each
     degree-4 term by D^2, and a target a/b enters as b lhs - a rhs, so the
@@ -176,81 +243,11 @@ def cr_elimination_poly(
         raise ValueError("need four distinct root indices")
     if q_pt.at_infinity:
         raise ValueError("base point must be affine")
-    roots = curve.rational_roots()
-    if not all(0 <= i < len(roots) for i in idx):
+    if not all(0 <= i < len(curve.rational_roots()) for i in idx):
         raise ValueError("root index out of range")
-    x_q = Fraction(q_pt.x)
-    alphas = [roots[i] for i in idx]
-    d = math.lcm(x_q.denominator, *(a.denominator for a in alphas))
-    xq_d = x_q.numerator * (d // x_q.denominator)
-    alphas_d = [a.numerator * (d // a.denominator) for a in alphas]
-    squares = [[xq_d - a] for a in alphas_d] + [[-a, d] for a in alphas_d]
-    # b (c1 z3 - c3 z1)(c2 z4 - c4 z2) - a (c2 z3 - c3 z2)(c1 z4 - c4 z1),
-    # each factor c_i z_j - c_j z_i, with the roots numbered from 0
-    a, b = target.numerator, target.denominator
-    elem: _Elem = {}
-    for scale, (i, j), (k, l) in ((b, (0, 2), (1, 3)), (-a, (1, 2), (0, 3))):
-        for s1, c1, z1 in ((scale, i, j), (-scale, j, i)):
-            for s2, c2, z2 in ((s1, k, l), (-s1, l, k)):
-                key = 1 << c1 | 1 << (4 + z1) | 1 << c2 | 1 << (4 + z2)
-                elem[key] = [elem.get(key, [0])[0] + s2]
-    for bit in (16, 32, 64, 128):
-        conj = {k: [-c for c in v] if k & bit else v for k, v in elem.items()}
-        elem = _elem_mul(elem, conj, squares)
-    if any(elem.keys() - {0}):
-        raise InternalCheckError("norm product left unresolved square roots")
-    ints = elem.get(0)
-    if ints is None:
-        raise InternalCheckError("cross-ratio elimination collapsed to zero")
-    scale = d**32 * b**16
-    return Poly(Fraction(c, scale) for c in ints)
-
-
-# cr_elimination_poly is Norm(A - t B) over sixteen sign choices, each factor
-# linear in t, so each x-coefficient is a polynomial of degree <= 16 in t.
-# Seventeen nodes determine it; an eighteenth checks the interpolation.
-_T_NODES = tuple(range(2, 19))
-_T_CHECK = Fraction(-7, 3)
-
-
-def _elimination_in_t(curve: HyperCurve, q_pt: CurvePoint) -> List[Tuple[int, ...]]:
-    """The elimination over roots (0, 1, 2, 3) as an integer matrix in t.
-
-    The nodes are consecutive integers, so the k-th Newton divided
-    difference is the k-th forward difference over k!.  With L the common
-    denominator of the node polynomials, cols[j][k] = L * 16! * D_k[j] is
-    an integer.  The matrix is checked exactly against cr_elimination_poly
-    at _T_CHECK.
-    """
-    idx = (0, 1, 2, 3)
-    rows = [cr_elimination_poly(curve, q_pt, idx, t).coeffs for t in _T_NODES]
-    width = max(len(r) for r in rows)
-    lcd = math.lcm(*(c.denominator for r in rows for c in r))
-    ints = [[int(c * lcd) for c in r] + [0] * (width - len(r)) for r in rows]
-    top = len(_T_NODES) - 1
-    diffs = []
-    for k in range(top + 1):
-        weight = math.factorial(top) // math.factorial(k)
-        diffs.append([c * weight for c in ints[0]])
-        ints = [[u - v for u, v in zip(r1, r0)] for r0, r1 in zip(ints, ints[1:])]
-    cols = list(zip(*diffs))
-    scale = lcd * math.factorial(top) * _T_CHECK.denominator**top
-    direct = cr_elimination_poly(curve, q_pt, idx, _T_CHECK)
-    if Poly(_eval_in_t(cols, _T_CHECK)) != direct * scale:
-        raise InternalCheckError("interpolated elimination fails at the check node")
-    return cols
-
-
-def _eval_in_t(cols: Sequence[Sequence[int]], target: Fraction) -> List[int]:
-    """L * 16! * b^16 * cr_elimination_poly(a/b), coefficient by coefficient,
-    for a target a/b: sum_k cols[j][k] b^(16-k) prod_{i<k} (a - t_i b)."""
-    a, b = target.numerator, target.denominator
-    weights = []
-    prod = 1
-    for k, t in enumerate(_T_NODES):
-        weights.append(prod * b ** (len(_T_NODES) - 1 - k))
-        prod *= a - t * b
-    return [sum(map(operator.mul, col, weights)) for col in cols]
+    rows, d = _elimination_matrix(curve, q_pt, idx)
+    scale = d**32 * target.denominator**16
+    return Poly(Fraction(c, scale) for c in _at_target(rows, target))
 
 
 def _first_rational_pole(curve: HyperCurve, func: RatFunc) -> CurvePoint:
@@ -288,9 +285,7 @@ def _distinct_targets(candidates: CandidateSet) -> Dict[Fraction, str]:
     earlier."""
     targets: Dict[Fraction, str] = {}
     for ci, cand in enumerate(candidates.curves):
-        gammas = cand.rational_roots()
-        d = math.lcm(*(g.denominator for g in gammas))
-        ints = [g.numerator * (d // g.denominator) for g in gammas]
+        _, ints = _scaled(cand.rational_roots())
         seen = set()
         for combo in itertools.permutations(range(len(ints)), 4):
             if combo in seen:
@@ -324,12 +319,9 @@ def recover_points_detailed(
     targets = _distinct_targets(candidates)
     found: Dict[Tuple, Tuple[CurvePoint, str]] = {}
     lifted = set()
-    cols = _elimination_in_t(curve, q_pt) if targets else []
+    rows = _elimination_matrix(curve, q_pt, (0, 1, 2, 3))[0] if targets else []
     for target, via in targets.items():
-        poly = Poly(_eval_in_t(cols, target))
-        if poly.is_zero():
-            raise InternalCheckError("cross-ratio elimination collapsed to zero")
-        for x_p in rational_roots(poly):
+        for x_p in rational_roots(Poly(_at_target(rows, target))):
             if x_p in lifted:
                 continue
             lifted.add(x_p)

@@ -12,6 +12,19 @@ from prymcover.points import CandidateSet
 E1_JSON = {"lead": "1", "roots": ["-1/3", "9/8", "25/24"]}
 G2_JSON = {"lead": "1", "roots": ["-1/3", "9/8", "25/24", "4/3", "49/48"]}
 FIVE_ROOT_JSON = {"lead": "1", "roots": ["0", "1", "2", "3", "4"]}
+CERT_JSON = {
+    "S": [2, 3, 5, 11, 19, 29],
+    "entries": [{"m": 1, "n": 3, "p": 7, "roots": [1, 2, 3]}],
+    "form": {
+        "degree": 6,
+        "factors": [
+            ["0", "1"], ["-5", "392"], ["1", "-49"],
+            ["-1", "98"], ["-1", "79"], ["-1", "78"],
+        ],
+        "lambda": "1",
+    },
+}
+NO_M_JSON = dict(CERT_JSON, entries=[{"n": 3, "p": 7, "roots": [1, 2, 3]}])
 
 
 @pytest.fixture
@@ -306,6 +319,29 @@ class TestPlumbing:
             "covers", str(path), "--p", "1,1", "--q", "0,1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("command, payload", [
+        ("covers", {"lead": "1", "roots": 5}),
+        ("covers", {"lead": "1", "roots": ["0", "1", {"gens": [2], "coords": []}]}),
+        ("check-bprime", NO_M_JSON),
+        ("check-bprime", dict(CERT_JSON, S=2)),
+        ("check-bprime", dict(CERT_JSON, S=[2.5, 3])),
+        ("classify-reduction", NO_M_JSON),
+        ("classify-reduction", dict(CERT_JSON, S=2)),
+    ], ids=["roots-int", "coords-list", "bprime-no-m", "bprime-s-int",
+            "bprime-s-float", "classify-no-m", "classify-s-int"])
+    def test_misshapen_json_exits_2(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        extra = {
+            "covers": ["--p", "1,1", "--q", "0,1"],
+            "check-bprime": [],
+            "classify-reduction": ["--prime", "13"],
+        }[command]
+        assert main([command, str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

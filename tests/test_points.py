@@ -14,9 +14,9 @@ from prymcover.covers import (
 from prymcover.curves import CurvePoint, is_on_curve, make_curve
 from prymcover.errors import InternalCheckError
 from prymcover.points import (
+    _at_target,
     _distinct_targets,
-    _elimination_in_t,
-    _eval_in_t,
+    _elimination_matrix,
     CandidateSet,
     IntegralitySpec,
     brute_force_points,
@@ -310,7 +310,8 @@ class TestScaledKernel:
 
 
 class TestEliminationInT:
-    """The matrix built once per recovery call against the direct oracle."""
+    """The matrix built once per recovery call, with the target as a
+    variable, against the rational norm product at each target."""
 
     @given(
         st.sampled_from([5, 7]).flatmap(
@@ -332,46 +333,47 @@ class TestEliminationInT:
         roots = [F(r) for r in root_ints]
         curve = make_curve(roots)
         q_pt = CurvePoint.affine(max(roots) + 1, F(1))
-        cols = _elimination_in_t(curve, q_pt)
+        idx = (0, 1, 2, 3)
+        rows, d = _elimination_matrix(curve, q_pt, idx)
         for target in targets:
             if target in (0, 1):
                 continue
-            got = Poly(_eval_in_t(cols, target))
-            direct = cr_elimination_poly(curve, q_pt, (0, 1, 2, 3), target)
-            assert got.degree == direct.degree
-            ratio = got.lead / direct.lead
-            assert ratio != 0
-            assert all(g == ratio * d for g, d in zip(got.coeffs, direct.coeffs))
-            assert rational_roots(got) == rational_roots(direct)
+            got = Poly(_at_target(rows, target))
+            reference = _reference_elimination(curve, q_pt, idx, target)
+            assert got == reference * Poly.constant(d**32 * target.denominator**16)
+            assert rational_roots(got) == rational_roots(reference)
 
-    def test_wrong_node_fails_the_check_node(self, monkeypatch):
-        direct = points.cr_elimination_poly
+    def test_perturbed_matrix_fails_at_the_base_point(self, monkeypatch):
+        # G2 has x_Q = 0, so the constant row of the matrix must vanish
+        built = points._norm_matrix
 
-        def wrong_at_five(curve, q_pt, idx, target):
-            poly = direct(curve, q_pt, idx, target)
-            return poly + Poly.x() if target == 5 else poly
+        def perturbed(squares):
+            rows = built(squares)
+            rows[0][5] += 1
+            return rows
 
-        monkeypatch.setattr(points, "cr_elimination_poly", wrong_at_five)
+        monkeypatch.setattr(points, "_norm_matrix", perturbed)
         spec = IntegralitySpec(ONE_OVER_X, (), 100)
-        with pytest.raises(InternalCheckError, match="check node"):
+        with pytest.raises(InternalCheckError, match="vanish at x = x_Q"):
             recover_points_detailed(G2, spec, _g2_candidates())
+        with pytest.raises(InternalCheckError, match="vanish at x = x_Q"):
+            cr_elimination_poly(G2, G2_Q_POLE, (0, 1, 2, 3), F(17, 5))
 
-    @pytest.mark.parametrize("count, calls", [(16, 18), (0, 0)])
-    def test_eliminations_per_call(self, monkeypatch, count, calls):
-        # 17 interpolation nodes and one check node, whatever the number of
-        # targets; none without a target
+    @pytest.mark.parametrize("count, builds", [(16, 1), (0, 0)])
+    def test_eliminations_per_call(self, monkeypatch, count, builds):
+        # one matrix whatever the number of targets; none without a target
         seen = []
-        direct = points.cr_elimination_poly
+        direct = points._elimination_matrix
 
         def counted(*args):
-            seen.append(args[3])
+            seen.append(args)
             return direct(*args)
 
-        monkeypatch.setattr(points, "cr_elimination_poly", counted)
+        monkeypatch.setattr(points, "_elimination_matrix", counted)
         spec = IntegralitySpec(ONE_OVER_X, (), 100)
         cands = _g2_candidates(count) if count else CandidateSet(2, ())
         recover_points_detailed(G2, spec, cands)
-        assert len(seen) == calls
+        assert len(seen) == builds
 
 
 def _recover_per_target(curve, spec, candidates):
