@@ -54,6 +54,14 @@ def _parse_coeffs(text: str) -> Poly:
     return Poly([jsonio.str_to_rat(c) for c in text.split(",")])
 
 
+def _parse_func(args) -> RatFunc:
+    """The function f = num/den from --num and --den."""
+    den = _parse_coeffs(args.den)
+    if den.is_zero():
+        raise ValueError("the denominator of f must be nonzero")
+    return RatFunc(_parse_coeffs(args.num), den)
+
+
 def _parse_primes(text: Optional[str]) -> tuple:
     if not text:
         return ()
@@ -182,7 +190,7 @@ def cmd_classify_reduction(args) -> int:
 
 def cmd_points(args) -> int:
     curve = _load_curve(args.curve)
-    func = RatFunc(_parse_coeffs(args.num), _parse_coeffs(args.den))
+    func = _parse_func(args)
     spec = IntegralitySpec(func, _parse_primes(args.s_primes), args.height_bound)
     pts = brute_force_points(curve, spec)
     _emit(jsonio.points_to_json([(p, "height search") for p in pts]), args.out)
@@ -191,7 +199,7 @@ def cmd_points(args) -> int:
 
 def cmd_recover(args) -> int:
     curve = _load_curve(args.curve)
-    func = RatFunc(_parse_coeffs(args.num), _parse_coeffs(args.den))
+    func = _parse_func(args)
     spec = IntegralitySpec(
         func, _parse_primes(args.s_primes), args.height_bound
     )
@@ -203,7 +211,7 @@ def cmd_recover(args) -> int:
 
 def cmd_compute_t(args) -> int:
     curve = _load_curve(args.curve)
-    func = RatFunc(_parse_coeffs(args.num), _parse_coeffs(args.den))
+    func = _parse_func(args)
     primes = compute_t(curve, func, _parse_primes(args.s_primes))
     _emit({"primes": list(primes)}, args.out)
     return 0

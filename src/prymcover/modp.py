@@ -6,16 +6,20 @@ zeros; the zero polynomial is []) with entries in [0, p).  `poly_mod`
 alone keeps one residue per input coefficient, so callers can see a
 leading coefficient that vanishes mod p.
 
-`rational_roots` finds the rational roots of a polynomial over Q by
-Hensel lifting: roots modulo the least prime l at which the squarefree
-part stays squarefree, Newton-lifted to l^k > 2 |a_0| |a_n| and recovered
-by rational reconstruction (von zur Gathen and Gerhard, Modern Computer
-Algebra, the chapters on Newton iteration and Hensel lifting, and on
-rational reconstruction).
+`int_rational_roots` finds the rational roots of an integer polynomial,
+given as its coefficient list, by Hensel lifting: with the content divided
+out, a sieve first rejects a polynomial that has no root modulo one of a
+few primes not dividing its lead; the roots of the rest come modulo the
+least prime l at which the squarefree part stays squarefree, Newton-lifted
+to l^k > 2 |a_0| |a_n| and recovered by rational reconstruction (von zur
+Gathen and Gerhard, Modern Computer Algebra, the chapters on Newton
+iteration and Hensel lifting, and on rational reconstruction).
+`rational_roots` is its entry for a `Poly` over Q.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -173,47 +177,90 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return q[::-1]
 
 
-def rational_roots(f: Poly) -> List[Fraction]:
-    """The distinct rational roots of a nonzero polynomial over Q, ascending.
+# Primes for the root sieve; the first _SIEVE_COUNT of them that divide
+# neither the lead nor the constant term are tried.
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SIEVE_COUNT = 8
 
-    With f cleared to integers and x^k stripped, the squarefree part is
-    f / gcd(f, f') over Z, the gcd by primitive pseudo-remainders and the
-    division checked exact.  A root a/b in lowest terms of that part, with
-    coefficients a_0..a_n, has a | a_0 and b | a_n.  Modulo a prime l not
-    dividing a_n at which that part stays squarefree, every root is simple,
-    so its residue lifts uniquely to l^k > 2 |a_0| |a_n|, and rational
+
+def _has_root_mod(ints: Sequence[int], ell: int) -> bool:
+    # Horner inline, one reduction per value: the residues are small, and
+    # this runs for every residue of every sieve prime of every target
+    top_first = [c % ell for c in reversed(ints)]
+    for x in range(ell):
+        acc = 0
+        for c in top_first:
+            acc = acc * x + c
+        if acc % ell == 0:
+            return True
+    return False
+
+
+def _sieved_out(ints: Sequence[int]) -> bool:
+    """Whether some sieve prime not dividing the lead sees no root: then the
+    polynomial has no rational root.  A prime dividing the constant term
+    always sees the root 0, so it is not tried."""
+    usable = (ell for ell in _SIEVE_PRIMES if ints[-1] % ell and ints[0] % ell)
+    return any(
+        not _has_root_mod(ints, ell)
+        for ell in itertools.islice(usable, _SIEVE_COUNT)
+    )
+
+
+def int_rational_roots(ints: Sequence[int]) -> List[Fraction]:
+    """The distinct rational roots of a nonzero integer polynomial, given as
+    its coefficient list (constant first), ascending.
+
+    After x^k is stripped and the content divided out, a root a/b in lowest
+    terms has a | a_0 and b | a_n, so for a prime l not dividing a_n, a b^-1
+    is a root mod l: a polynomial without a root mod one of a few such
+    primes has no rational root besides 0.  For the rest, the squarefree
+    part is f / gcd(f, f') over Z, the gcd by primitive pseudo-remainders
+    and the division checked exact.  Modulo a prime l not dividing its lead
+    at which that part stays squarefree, every root is simple, so its
+    residue lifts uniquely to l^k > 2 |a_0| |a_n|, and rational
     reconstruction returns a/b.  Each candidate is checked exactly:
     sum_i a_i a^i b^(n-i) = 0.
     """
+    if not any(ints):
+        raise ValueError("zero polynomial has every root")
+    low = next(i for i, c in enumerate(ints) if c)
+    top = max(i for i, c in enumerate(ints) if c)
+    roots = {Fraction(0)} if low else set()
+    content = math.gcd(*ints) if ints[top] > 0 else -math.gcd(*ints)
+    ints = [c // content for c in ints[low : top + 1]]
+    if len(ints) == 1 or _sieved_out(ints):
+        return sorted(roots)
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    ints = _exact_quotient(ints, _primitive_gcd(ints, deriv))
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    n = len(ints) - 1
+    ell = 2
+    while ints[-1] % ell == 0 or not is_squarefree(ints, ell):
+        ell += 1
+        while not is_prime(ell):
+            ell += 1
+    num_bound, den_bound = abs(ints[0]), ints[-1]
+    bound = 2 * num_bound * den_bound
+    for x in range(ell):
+        if _eval(ints, x, ell):
+            continue
+        m = ell
+        while m <= bound:
+            m *= m
+            x = (x - _eval(ints, x, m) * pow(_eval(deriv, x, m), -1, m)) % m
+        cand = _rat_reconstruct(x, m, num_bound, den_bound)
+        if cand is None:
+            continue
+        a, b = cand.numerator, cand.denominator
+        if sum(c * a**i * b ** (n - i) for i, c in enumerate(ints)) == 0:
+            roots.add(cand)
+    return sorted(roots)
+
+
+def rational_roots(f: Poly) -> List[Fraction]:
+    """The distinct rational roots of a nonzero polynomial over Q, ascending:
+    `int_rational_roots` of f cleared to integers."""
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
-    ints, _ = clear_denominators(f)
-    low = next(i for i, c in enumerate(ints) if c)
-    roots = {Fraction(0)} if low else set()
-    ints = ints[low:]
-    if len(ints) > 1:
-        deriv = [i * c for i, c in enumerate(ints)][1:]
-        ints = _exact_quotient(ints, _primitive_gcd(ints, deriv))
-        deriv = [i * c for i, c in enumerate(ints)][1:]
-        n = len(ints) - 1
-        ell = 2
-        while ints[-1] % ell == 0 or not is_squarefree(ints, ell):
-            ell += 1
-            while not is_prime(ell):
-                ell += 1
-        num_bound, den_bound = abs(ints[0]), ints[-1]
-        bound = 2 * num_bound * den_bound
-        for x in range(ell):
-            if _eval(ints, x, ell):
-                continue
-            m = ell
-            while m <= bound:
-                m *= m
-                x = (x - _eval(ints, x, m) * pow(_eval(deriv, x, m), -1, m)) % m
-            cand = _rat_reconstruct(x, m, num_bound, den_bound)
-            if cand is None:
-                continue
-            a, b = cand.numerator, cand.denominator
-            if sum(c * a**i * b ** (n - i) for i, c in enumerate(ints)) == 0:
-                roots.add(cand)
-    return sorted(roots)
+    return int_rational_roots(clear_denominators(f)[0])

@@ -7,12 +7,15 @@ z_i = sqrt(x - alpha_i), eliminating the sign ambiguity with a 16-conjugate
 norm product.  The norm is taken once over the integers, with the square
 roots scaled by a common denominator D and the target a/b kept as a
 variable: each x-coefficient is a form of degree 16 in (a, b), so the result
-is an integer matrix with 17 columns.  A recovery call builds it once and
-evaluates it at each distinct cross-ratio target, enumerated on
-integer-scaled roots; cr_elimination_poly evaluates it at one target and
-divides D^32 b^16 back out.  The rational roots of each evaluated
-polynomial come from `modp.rational_roots`, re-exported here; each root x is
-lifted to the curve once.
+is an integer matrix with 17 columns.  Every column vanishes to order 12 at
+x = x_Q, and that factor is divided out exactly, which leaves 5 rows.  A
+recovery call builds the matrix once and evaluates it at each distinct
+cross-ratio target, enumerated on integer pairs; cr_elimination_poly
+evaluates it at one target, multiplies the factor back and divides
+D^32 b^16 out.  The rational roots of each evaluated quartic come from
+`modp.int_rational_roots` on its integer coefficients (`modp.rational_roots`,
+its `Poly` entry, is re-exported here); each root x is lifted to the curve
+once.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .covers import cross_ratio
 from .curves import CurvePoint, HyperCurve, hyperelliptic_involution, is_on_curve
 from .errors import InternalCheckError
-from .modp import rational_roots
+from .modp import int_rational_roots, rational_roots
 from .polys import PoleError, Poly, RatFunc
 from .scalars import Rat, as_rational, prime_set, strip_primes
 
@@ -187,24 +189,61 @@ def _norm_matrix(squares: Sequence[List[int]]) -> List[List[int]]:
     return [packed[j : j + _STRIDE] for j in range(0, len(packed), _STRIDE)]
 
 
+# Every column of M vanishes at x = x_Q to this order at least.
+_BASE_ORDER = 12
+
+
+def _base_factor(x_q: Fraction) -> List[int]:
+    """(u x - v)^12 for x_Q = v/u in lowest terms, as an int list."""
+    factor = [1]
+    for _ in range(_BASE_ORDER):
+        factor = _int_mul(factor, [-x_q.numerator, x_q.denominator])
+    return factor
+
+
+def _divide_columns(
+    rows: Sequence[Sequence[int]], factor: Sequence[int]
+) -> List[List[int]]:
+    """Every column of the matrix divided by a polynomial in x over Z, by
+    long division from the top row; InternalCheckError unless exact."""
+    rows = [list(row) for row in rows]
+    shift, lead = len(factor) - 1, factor[-1]
+    terms = [(j, c) for j, c in enumerate(factor[:-1]) if c]
+    quotient: List[List[int]] = []
+    for i in range(len(rows) - 1, shift - 1, -1):
+        if any(c % lead for c in rows[i]):
+            break
+        q = [c // lead for c in rows[i]]
+        quotient.append(q)
+        for j, c in terms:
+            row = rows[i - shift + j]
+            rows[i - shift + j] = [r - c * e for r, e in zip(row, q)]
+    else:
+        if not any(map(any, rows[:shift])):
+            return quotient[::-1]
+    raise InternalCheckError(
+        "elimination matrix does not vanish at x = x_Q to order %d" % _BASE_ORDER
+    )
+
+
 def _elimination_matrix(
     curve: HyperCurve, q_pt: CurvePoint, idx: Sequence[int]
 ) -> Tuple[List[List[int]], int]:
-    """The norm matrix over the indexed roots and the scale D.
+    """The norm matrix over the indexed roots with (u x - v)^12 divided out
+    of every column, x_Q = v/u in lowest terms, and the scale D.
 
-    At x = x_Q every z_i equals c_i, so both factors of the all-plus
-    conjugate vanish, and with them every column of the matrix."""
+    At x = x_Q each z_i is +c_i or -c_i, and c_i z_j - c_j z_i vanishes when
+    z_i and z_j take the same sign.  So ten of the sixteen conjugates vanish
+    there, and the two whose signs all agree vanish to order two: the norm
+    has order at least 12 at x_Q, which the exact division checks.  The
+    factor u x - v is primitive, so the quotient stays over Z."""
     roots = curve.rational_roots()
-    d, (xq, *alphas) = _scaled([Fraction(q_pt.x)] + [roots[i] for i in idx])
-    squares = [[xq - a] for a in alphas] + [
+    x_q = Fraction(q_pt.x)
+    d, (dx_q, *alphas) = _scaled([x_q] + [roots[i] for i in idx])
+    squares = [[dx_q - a] for a in alphas] + [
         [-a] + [0] * (_STRIDE - 1) + [d] for a in alphas
     ]
-    rows = _norm_matrix(squares)
-    top = len(rows) - 1
-    powers = [xq**j * d ** (top - j) for j in range(top + 1)]
-    if any(sum(map(operator.mul, col, powers)) for col in zip(*rows)):
-        raise InternalCheckError("elimination matrix does not vanish at x = x_Q")
-    return rows, d
+    return _divide_columns(_norm_matrix(squares), _base_factor(x_q)), d
 
 
 def _at_target(rows: Sequence[Sequence[int]], target: Fraction) -> List[int]:
@@ -246,8 +285,9 @@ def cr_elimination_poly(
     if not all(0 <= i < len(curve.rational_roots()) for i in idx):
         raise ValueError("root index out of range")
     rows, d = _elimination_matrix(curve, q_pt, idx)
+    ints = _int_mul(_at_target(rows, target), _base_factor(Fraction(q_pt.x)))
     scale = d**32 * target.denominator**16
-    return Poly(Fraction(c, scale) for c in _at_target(rows, target))
+    return Poly(Fraction(c, scale) for c in ints)
 
 
 def _first_rational_pole(curve: HyperCurve, func: RatFunc) -> CurvePoint:
@@ -278,12 +318,14 @@ def exceptional_points(
 
 
 def _distinct_targets(candidates: CandidateSet) -> Dict[Fraction, str]:
-    """Each distinct non-degenerate cross-ratio of four candidate roots in
-    first-seen order, named by the first permutation reaching it.  The roots
-    are scaled to integers, which fixes every cross-ratio, and a permutation
-    is skipped when a double transposition of it, which fixes it too, came
-    earlier."""
+    """Each distinct cross-ratio of four candidate roots in first-seen order,
+    named by the first permutation reaching it.  The roots are scaled to
+    integers, which fixes every cross-ratio, and each is keyed on its reduced
+    pair n/m, n = (a - c)(b - d) and m = (b - c)(a - d); distinct roots make
+    it neither 0 nor 1.  A permutation is skipped when a double
+    transposition of it, which fixes its cross-ratio too, came earlier."""
     targets: Dict[Fraction, str] = {}
+    keys = set()
     for ci, cand in enumerate(candidates.curves):
         _, ints = _scaled(cand.rational_roots())
         seen = set()
@@ -292,8 +334,13 @@ def _distinct_targets(candidates: CandidateSet) -> Dict[Fraction, str]:
                 continue
             i, j, k, l = combo
             seen.update(((j, i, l, k), (k, l, i, j), (l, k, j, i)))
-            target = cross_ratio(*(ints[i] for i in combo))
-            if target not in (0, 1) and target not in targets:
+            a, b, c, d = ints[i], ints[j], ints[k], ints[l]
+            n, m = (a - c) * (b - d), (b - c) * (a - d)
+            g = math.gcd(n, m) if m > 0 else -math.gcd(n, m)
+            key = (n // g, m // g)
+            if key not in keys:
+                keys.add(key)
+                target = Fraction(*key)
                 targets[target] = "candidate %d, roots (%d,%d,%d,%d), cr %s" % (
                     ci,
                     *combo,
@@ -321,7 +368,7 @@ def recover_points_detailed(
     lifted = set()
     rows = _elimination_matrix(curve, q_pt, (0, 1, 2, 3))[0] if targets else []
     for target, via in targets.items():
-        for x_p in rational_roots(Poly(_at_target(rows, target))):
+        for x_p in int_rational_roots(_at_target(rows, target)):
             if x_p in lifted:
                 continue
             lifted.add(x_p)

@@ -343,6 +343,20 @@ class TestPlumbing:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["points", "recover", "compute-t"])
+    @pytest.mark.parametrize("den", ["0", "0,0"])
+    def test_zero_denominator_exits_2(self, capsys, tmp_path, g2_file, command, den):
+        cand_path = tmp_path / "cands.json"
+        cand_path.write_text(
+            jsonio.dumps(jsonio.candidate_set_to_json(CandidateSet(2, ())))
+        )
+        extra = [str(cand_path)] if command == "recover" else []
+        argv = [command, g2_file, *extra, "--num", "1", "--den", den]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -157,3 +158,62 @@ class TestRationalRoots:
         f = _planted([F(2), F(2)]) * Poly([F(1), F(0), F(1)])
         with pytest.raises(InternalCheckError, match="left a remainder"):
             modp.rational_roots(f)
+
+
+def _int_product(factors):
+    f = Poly([F(1)])
+    for g in factors:
+        f = f * Poly(g)
+    return [int(c) for c in f.coeffs]
+
+
+_sieve_denominators = st.lists(
+    st.sampled_from(modp._SIEVE_PRIMES), min_size=1, max_size=3
+).map(lambda ps: math.prod(ps))
+
+
+class TestIntegerEntry:
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=-40, max_value=40), _sieve_denominators),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(min_value=1, max_value=30),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_roots_over_sieve_prime_denominators(self, planted, content, sign):
+        # each denominator is a product of sieve primes, which divide the
+        # lead, so the sieve must skip them
+        roots = sorted({F(a, b) for a, b in planted})
+        linear = [[-r.numerator, r.denominator] for r in roots]
+        ints = [sign * content * c for c in _int_product(linear + [[5, 1, 1]])]
+        assert modp.int_rational_roots(ints) == roots
+
+    def test_every_sieve_prime_divides_the_lead(self):
+        # no sieve prime is usable, so the polynomial goes straight on
+        lead = math.prod(modp._SIEVE_PRIMES)
+        ints = _int_product([[-1, lead], [1, 1, 1]])
+        assert modp.int_rational_roots([-3 * c for c in ints]) == [F(1, lead)]
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=50),
+            max_size=3,
+        ),
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_poly_wrapper(self, planted, cofactor, low):
+        if not any(cofactor):
+            cofactor = [1]
+        linear = [[-r.numerator, r.denominator] for r in planted]
+        ints = [0] * low + _int_product(linear + [cofactor]) + [0] * low
+        assert modp.int_rational_roots(ints) == modp.rational_roots(Poly(ints))
+
+    @pytest.mark.parametrize("ints", [[], [0], [0, 0, 0]])
+    def test_zero_list_rejected(self, ints):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            modp.int_rational_roots(ints)

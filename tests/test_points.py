@@ -1,10 +1,11 @@
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymcover import points
+from prymcover import modp, points
 from prymcover.covers import (
     beta_tuples,
     cross_ratio,
@@ -27,7 +28,7 @@ from prymcover.points import (
     recover_points_detailed,
 )
 from prymcover.polys import Poly, RatFunc
-from prymcover.scalars import as_rational, sqrt_adjoin
+from prymcover.scalars import as_rational, factorize, sqrt_adjoin
 
 G2 = make_curve([F(-1, 3), F(9, 8), F(25, 24), F(4, 3), F(49, 48)])
 G2_P = CurvePoint.affine(1, F(1, 144))
@@ -335,10 +336,12 @@ class TestEliminationInT:
         q_pt = CurvePoint.affine(max(roots) + 1, F(1))
         idx = (0, 1, 2, 3)
         rows, d = _elimination_matrix(curve, q_pt, idx)
+        # the matrix comes with (x - x_Q)^12 divided out
+        base_factor = Poly([-q_pt.x, F(1)]) ** 12
         for target in targets:
             if target in (0, 1):
                 continue
-            got = Poly(_at_target(rows, target))
+            got = Poly(_at_target(rows, target)) * base_factor
             reference = _reference_elimination(curve, q_pt, idx, target)
             assert got == reference * Poly.constant(d**32 * target.denominator**16)
             assert rational_roots(got) == rational_roots(reference)
@@ -374,6 +377,77 @@ class TestEliminationInT:
         cands = _g2_candidates(count) if count else CandidateSet(2, ())
         recover_points_detailed(G2, spec, cands)
         assert len(seen) == builds
+
+
+def _norm_and_stripped(curve, q_pt, idx):
+    """The norm matrix before and after _elimination_matrix divides it."""
+    built = []
+    norm = points._norm_matrix
+
+    def recorded(squares):
+        built.append(norm(squares))
+        return built[-1]
+
+    with mock.patch.object(points, "_norm_matrix", recorded):
+        rows, _ = _elimination_matrix(curve, q_pt, idx)
+    return built[0], rows
+
+
+def _columns(rows):
+    return [Poly([F(row[k]) for row in rows]) for k in range(len(rows[0]))]
+
+
+class TestBaseFactor:
+    """(x - x_Q)^12 divides every column of the norm matrix, and
+    _elimination_matrix returns the exact quotient."""
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=5,
+            max_size=5,
+            unique=True,
+        ),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.permutations(range(5)),
+        st.sampled_from(["zero", "generic", "indexed root"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_divides_every_column(self, roots, x_q, perm, case):
+        curve = make_curve(roots)
+        idx = tuple(perm[:4])
+        if case == "zero":
+            x_q = F(0)
+        elif case == "indexed root":
+            x_q = curve.rational_roots()[idx[0]]
+        q_pt = CurvePoint.affine(x_q, F(1))
+        full, rows = _norm_and_stripped(curve, q_pt, idx)
+        factor = Poly([F(-x_q.numerator), F(x_q.denominator)]) ** 12
+        for col, quot in zip(_columns(full), _columns(rows)):
+            assert col == quot * factor
+
+    @pytest.mark.parametrize("x_q", [F(0), F(-1, 3), F(4, 3)])
+    def test_order_is_exactly_twelve_on_g2(self, x_q):
+        # -1/3 and 4/3 are indexed roots of G2: Weierstrass base points
+        q_pt = CurvePoint.affine(x_q, F(1))
+        rows, _ = _elimination_matrix(G2, q_pt, (0, 1, 2, 3))
+        assert len(rows) == 5
+        assert any(col(x_q) for col in _columns(rows))
+
+    def test_g2_targets_past_the_sieve(self, monkeypatch):
+        # summed over the sixteen one-model recoveries: 1179 targets, and
+        # only 73 polynomials reach the squarefree step
+        targets, sqf = 0, []
+        gcd = modp._primitive_gcd
+        monkeypatch.setattr(
+            modp, "_primitive_gcd", lambda a, b: sqf.append(a) or gcd(a, b)
+        )
+        spec = IntegralitySpec(ONE_OVER_X, (), 100)
+        for model in _g2_candidates(16).curves:
+            cands = CandidateSet(2, (model,))
+            targets += len(_distinct_targets(cands))
+            recover_points_detailed(G2, spec, cands)
+        assert (targets, len(sqf)) == (1179, 73)
 
 
 def _recover_per_target(curve, spec, candidates):
@@ -533,3 +607,30 @@ class TestRecovery:
         spec = IntegralitySpec(func, (), 10)
         with pytest.raises(ValueError, match="no rational affine pole"):
             recover_points(G2, spec, CandidateSet(2, ()))
+
+
+_small_rationals = st.builds(
+    F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+)
+
+
+@given(
+    st.lists(
+        _small_rationals.filter(lambda b: b not in (0, 1, -1)),
+        min_size=5,
+        max_size=5,
+        unique_by=lambda b: b * b,
+    ),
+    st.one_of(st.just(F(0)), _small_rationals.filter(bool)),
+)
+@settings(max_examples=30, deadline=None)
+def test_recovery_closes_on_random_instances(betas, x_q):
+    # P is S-integral for f = 1/(x - x_Q) with S the primes of x_P - x_Q,
+    # so recovery over the instance's own sixteen Prym models must find it
+    curve, p_pt, q_pt = curve_through_betas(betas, x_q=x_q)
+    diff = p_pt.x - x_q
+    s_primes = set(factorize(diff.numerator)) | set(factorize(diff.denominator))
+    func = RatFunc(Poly.constant(1), Poly([-x_q, F(1)]))
+    spec = IntegralitySpec(func, tuple(s_primes), 100)
+    models = [prym_curve_equation(t) for t in beta_tuples(curve, p_pt, q_pt)]
+    assert p_pt in recover_points(curve, spec, CandidateSet(2, tuple(models)))
