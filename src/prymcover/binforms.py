@@ -22,7 +22,7 @@ from . import modp
 from .covers import all_plus_beta_tuple
 from .curves import CurvePoint, HyperCurve, bad_primes
 from .errors import InternalCheckError
-from .polys import Poly
+from .polys import Poly, mul_coeffs
 from .scalars import (
     FactorizationError,
     Rat,
@@ -83,12 +83,8 @@ class BinaryForm:
         """Dense coefficients of X^i Z^(r-i), i = 0..r."""
         out = [self.lam]
         for d, gm in self.factors:
-            nxt = [Fraction(0)] * (len(out) + 1)
-            for i, c in enumerate(out):
-                nxt[i] -= c * gm
-                nxt[i + 1] += c * d
-            out = nxt
-        return tuple(out)
+            out = mul_coeffs(out, (-gm, d))
+        return tuple(map(Fraction, out))
 
 
 def bf_disc(form: BinaryForm) -> Fraction:

@@ -40,7 +40,13 @@ ZERO_LOG = -1  # the log of zero in every table
 
 
 def check_field_order(p: int, deg: int) -> None:
-    """Refuse F_{p^deg} past MAX_FIELD_ORDER from its size alone."""
+    """Refuse F_{p^deg} past MAX_FIELD_ORDER from its size alone.  A p or a
+    deg past these bounds is refused before p^deg is formed: the power could
+    have millions of digits."""
+    if p > MAX_FIELD_ORDER or deg > MAX_FIELD_ORDER.bit_length():
+        raise ValueError(
+            f"F_{p}^{deg} has more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER} elements"
+        )
     q = p**deg
     if q > MAX_FIELD_ORDER:
         raise ValueError(

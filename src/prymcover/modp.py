@@ -4,7 +4,8 @@ A polynomial over F_p is a sequence of ints, constant first.  Every
 operation takes any such sequence and returns a trimmed list (no trailing
 zeros; the zero polynomial is []) with entries in [0, p).  `poly_mod`
 alone keeps one residue per input coefficient, so callers can see a
-leading coefficient that vanishes mod p.
+leading coefficient that vanishes mod p.  `mul` is the integer product
+`polys.mul_coeffs` reduced mod p.
 
 `int_rational_roots` finds the rational roots of an integer polynomial,
 given as its coefficient list, by Hensel lifting: with the content divided
@@ -13,7 +14,9 @@ few primes not dividing its lead; the roots of the rest come modulo the
 least prime l at which the squarefree part stays squarefree, Newton-lifted
 to l^k > 2 |a_0| |a_n| and recovered by rational reconstruction (von zur
 Gathen and Gerhard, Modern Computer Algebra, the chapters on Newton
-iteration and Hensel lifting, and on rational reconstruction).
+iteration and Hensel lifting, and on rational reconstruction).  The content
+split and the exact division that gives the squarefree part are the
+integer kernel of `polys` (`primitive`, `exact_quotient`).
 `rational_roots` is its entry for a `Poly` over Q.
 """
 
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .polys import Poly, clear_denominators
+from .polys import Poly, clear_denominators, exact_quotient, mul_coeffs, primitive
 from .scalars import Rat, as_rational, is_prime
 
 Residues = Sequence[int]
@@ -59,14 +62,7 @@ def sub(a: Residues, b: Residues, p: int) -> List[int]:
 
 
 def mul(a: Residues, b: Residues, p: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim([c % p for c in out])
+    return _trim([c % p for c in mul_coeffs(a, b)])
 
 
 def rem(a: Residues, m: Residues, p: int) -> List[int]:
@@ -148,8 +144,7 @@ def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """gcd over Z of two nonzero integer polynomials, primitive with positive
     lead, by the primitive pseudo-remainder sequence."""
     while True:
-        g = math.gcd(*b) if b[-1] > 0 else -math.gcd(*b)
-        b = [c // g for c in b]
+        b = primitive(b)[1]
         r, lead, d = list(a), b[-1], len(b) - 1
         while len(r) > d:
             c = r.pop()
@@ -161,20 +156,6 @@ def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
         if not r:
             return b
         a, b = b, r
-
-
-def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """a / b over Z; InternalCheckError unless b divides a exactly."""
-    r, q = list(a), []
-    while len(r) >= len(b) and r[-1] % b[-1] == 0:
-        c = r[-1] // b[-1]
-        q.append(c)
-        for j, bj in enumerate(b, len(r) - len(b)):
-            r[j] -= c * bj
-        r.pop()
-    if any(r):
-        raise InternalCheckError("squarefree part division left a remainder")
-    return q[::-1]
 
 
 # Primes for the root sieve; the first _SIEVE_COUNT of them that divide
@@ -227,12 +208,14 @@ def int_rational_roots(ints: Sequence[int]) -> List[Fraction]:
     low = next(i for i, c in enumerate(ints) if c)
     top = max(i for i, c in enumerate(ints) if c)
     roots = {Fraction(0)} if low else set()
-    content = math.gcd(*ints) if ints[top] > 0 else -math.gcd(*ints)
-    ints = [c // content for c in ints[low : top + 1]]
+    ints = primitive(ints[low : top + 1])[1]
     if len(ints) == 1 or _sieved_out(ints):
         return sorted(roots)
     deriv = [i * c for i, c in enumerate(ints)][1:]
-    ints = _exact_quotient(ints, _primitive_gcd(ints, deriv))
+    rows = exact_quotient([[c] for c in ints], _primitive_gcd(ints, deriv))
+    if rows is None:
+        raise InternalCheckError("squarefree part division left a remainder")
+    ints = [c for c, in rows]
     deriv = [i * c for i, c in enumerate(ints)][1:]
     n = len(ints) - 1
     ell = 2

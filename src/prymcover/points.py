@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .curves import CurvePoint, HyperCurve, hyperelliptic_involution, is_on_curve
 from .errors import InternalCheckError
 from .modp import int_rational_roots, rational_roots
-from .polys import PoleError, Poly, RatFunc
+from .polys import PoleError, Poly, RatFunc, exact_quotient, mul_coeffs, scaled
 from .scalars import Rat, as_rational, prime_set, strip_primes
 
 
@@ -133,31 +133,15 @@ _Elem = Dict[int, List[int]]
 _STRIDE = 17
 
 
-def _scaled(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """The least common denominator d of the values and the integers d * v."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def _int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, cb) for j, cb in enumerate(b) if cb]
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in terms:
-                out[i + j] += ca * cb
-    return out
-
-
 def _elem_mul(e1: _Elem, e2: _Elem, squares: Sequence[List[int]]) -> _Elem:
     out: _Elem = {}
     for k1, v1 in e1.items():
         for k2, v2 in e2.items():
-            v = _int_mul(v1, v2)
+            v = mul_coeffs(v1, v2)
             common = k1 & k2
             for atom, sq in enumerate(squares):
                 if common >> atom & 1:
-                    v = _int_mul(v, sq)
+                    v = mul_coeffs(v, sq)
             key = k1 ^ k2
             acc = out.get(key)
             if acc is not None:
@@ -197,33 +181,8 @@ def _base_factor(x_q: Fraction) -> List[int]:
     """(u x - v)^12 for x_Q = v/u in lowest terms, as an int list."""
     factor = [1]
     for _ in range(_BASE_ORDER):
-        factor = _int_mul(factor, [-x_q.numerator, x_q.denominator])
+        factor = mul_coeffs(factor, [-x_q.numerator, x_q.denominator])
     return factor
-
-
-def _divide_columns(
-    rows: Sequence[Sequence[int]], factor: Sequence[int]
-) -> List[List[int]]:
-    """Every column of the matrix divided by a polynomial in x over Z, by
-    long division from the top row; InternalCheckError unless exact."""
-    rows = [list(row) for row in rows]
-    shift, lead = len(factor) - 1, factor[-1]
-    terms = [(j, c) for j, c in enumerate(factor[:-1]) if c]
-    quotient: List[List[int]] = []
-    for i in range(len(rows) - 1, shift - 1, -1):
-        if any(c % lead for c in rows[i]):
-            break
-        q = [c // lead for c in rows[i]]
-        quotient.append(q)
-        for j, c in terms:
-            row = rows[i - shift + j]
-            rows[i - shift + j] = [r - c * e for r, e in zip(row, q)]
-    else:
-        if not any(map(any, rows[:shift])):
-            return quotient[::-1]
-    raise InternalCheckError(
-        "elimination matrix does not vanish at x = x_Q to order %d" % _BASE_ORDER
-    )
 
 
 def _elimination_matrix(
@@ -239,11 +198,17 @@ def _elimination_matrix(
     factor u x - v is primitive, so the quotient stays over Z."""
     roots = curve.rational_roots()
     x_q = Fraction(q_pt.x)
-    d, (dx_q, *alphas) = _scaled([x_q] + [roots[i] for i in idx])
+    d, (dx_q, *alphas) = scaled([x_q] + [roots[i] for i in idx])
     squares = [[dx_q - a] for a in alphas] + [
         [-a] + [0] * (_STRIDE - 1) + [d] for a in alphas
     ]
-    return _divide_columns(_norm_matrix(squares), _base_factor(x_q)), d
+    rows = exact_quotient(_norm_matrix(squares), _base_factor(x_q))
+    if rows is None:
+        raise InternalCheckError(
+            "elimination matrix does not vanish at x = x_Q to order %d"
+            % _BASE_ORDER
+        )
+    return rows, d
 
 
 def _at_target(rows: Sequence[Sequence[int]], target: Fraction) -> List[int]:
@@ -285,13 +250,18 @@ def cr_elimination_poly(
     if not all(0 <= i < len(curve.rational_roots()) for i in idx):
         raise ValueError("root index out of range")
     rows, d = _elimination_matrix(curve, q_pt, idx)
-    ints = _int_mul(_at_target(rows, target), _base_factor(Fraction(q_pt.x)))
+    ints = mul_coeffs(_at_target(rows, target), _base_factor(Fraction(q_pt.x)))
     scale = d**32 * target.denominator**16
     return Poly(Fraction(c, scale) for c in ints)
 
 
-def _first_rational_pole(curve: HyperCurve, func: RatFunc) -> CurvePoint:
-    f = curve.poly()
+def _first_rational_pole(
+    curve: HyperCurve, func: RatFunc, f: Optional[Poly] = None
+) -> CurvePoint:
+    """The least rational affine point of the curve at a pole of func; f is
+    curve.poly(), built here when the caller has not built it."""
+    if f is None:
+        f = curve.poly()
     candidates: List[CurvePoint] = []
     if func.den.degree >= 1:
         for x0 in rational_roots(func.den):
@@ -327,7 +297,7 @@ def _distinct_targets(candidates: CandidateSet) -> Dict[Fraction, str]:
     targets: Dict[Fraction, str] = {}
     keys = set()
     for ci, cand in enumerate(candidates.curves):
-        _, ints = _scaled(cand.rational_roots())
+        _, ints = scaled(cand.rational_roots())
         seen = set()
         for combo in itertools.permutations(range(len(ints)), 4):
             if combo in seen:
@@ -361,8 +331,8 @@ def recover_points_detailed(
         raise ValueError("recovery needs genus at least 2")
     if candidates.genus != curve.genus:
         raise ValueError("candidate genus does not match the curve")
-    q_pt = _first_rational_pole(curve, spec.func)
     f = curve.poly()
+    q_pt = _first_rational_pole(curve, spec.func, f)
     targets = _distinct_targets(candidates)
     found: Dict[Tuple, Tuple[CurvePoint, str]] = {}
     lifted = set()

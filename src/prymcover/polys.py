@@ -3,17 +3,23 @@ discriminants, and reduced rational functions.
 
 Coefficients are Fractions or MQElems (any mix).  The zero polynomial has
 degree -infinity so that degree identities hold without special cases.
-Products use the schoolbook loop, skipping zero coefficients: every
-product the package forms has an operand of at most 32 coefficients, below
-which subquadratic methods do not pay on exact scalars.
-Polynomials over F_p live in `modp`.
+
+The package's coefficient-list kernel lives here too, on plain lists
+(constant first) of ints, Fractions or MQElems: `mul_coeffs` is the one
+schoolbook product, which `Poly`, `modp` (then reduced mod p), `points` and
+`binforms` all use; it skips zero coefficients, and every product the
+package forms has an operand of at most 32 coefficients, below which
+subquadratic methods do not pay on exact scalars.  Over Z, `exact_quotient`
+is the one exact division (of a polynomial whose coefficients are integer
+vectors, so a whole matrix divides at once), `primitive` the one content
+split and `scaled` the one common denominator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .scalars import MQElem, Scalar, as_rational, scalar_inv
 
@@ -130,16 +136,7 @@ class Poly:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return Poly()
-        if len(a) == 1:
-            s = a[0]
-            return Poly(tuple(s * c for c in b))
-        if len(b) == 1:
-            s = b[0]
-            return Poly(tuple(c * s for c in a))
-        return Poly(_mul_seq(a, b))
+        return Poly(mul_coeffs(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -212,15 +209,57 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _mul_seq(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
+def mul_coeffs(a: Sequence, b: Sequence) -> List:
+    """The product of two coefficient lists by the schoolbook loop, over
+    ints, Fractions or MQElems; untrimmed, so an empty operand gives
+    len(a) + len(b) - 1 zeros."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, cb) for j, cb in enumerate(b) if cb]
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in terms:
+                out[i + j] += ca * cb
     return out
+
+
+def exact_quotient(
+    rows: Sequence[Sequence[int]], b: Sequence[int]
+) -> Optional[List[List[int]]]:
+    """The quotient of a polynomial over Z^w, given as its rows (each the
+    integer vector of one coefficient, constant first), by the integer
+    polynomial b, by long division from the top row; None unless b divides
+    every coordinate exactly."""
+    rows = [list(row) for row in rows]
+    shift, lead = len(b) - 1, b[-1]
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    quotient: List[List[int]] = []
+    for i in range(len(rows) - 1, shift - 1, -1):
+        if any(c % lead for c in rows[i]):
+            return None
+        q = [c // lead for c in rows[i]]
+        quotient.append(q)
+        for j, c in terms:
+            row = rows[i - shift + j]
+            rows[i - shift + j] = [r - c * e for r, e in zip(row, q)]
+    if any(map(any, rows[:shift])):
+        return None
+    return quotient[::-1]
+
+
+def primitive(ints: Sequence[int]) -> Tuple[int, List[int]]:
+    """(c, ints / c) for the content c of a nonzero integer list, signed like
+    its last coefficient, so the primitive part ends in a positive one when
+    that coefficient is nonzero."""
+    c = math.gcd(*ints)
+    if ints[-1] < 0:
+        c = -c
+    return c, [v // c for v in ints]
+
+
+def scaled(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The least common denominator d of the values and the integers d * v."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -276,18 +315,9 @@ def clear_denominators(f: Poly) -> Tuple[List[int], Fraction]:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no primitive part")
-    coeffs = [as_rational(c) for c in f.coeffs]
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if ints[-1] < 0:
-        g = -g
-    ints = [v // g for v in ints]
-    return ints, Fraction(g, lcm)
+    d, ints = scaled([as_rational(c) for c in f.coeffs])
+    g, ints = primitive(ints)
+    return ints, Fraction(g, d)
 
 
 class RatFunc:

@@ -11,6 +11,7 @@ from prymcover.finitefield import (
     least_irreducible,
     least_nonresidue,
 )
+from prymcover.zeta import FFCurve, count_points
 
 
 class TestModulusChoice:
@@ -238,6 +239,21 @@ class TestFieldSizeGuard:
         # over F_1000003 would test all p of them before the first success.
         with pytest.raises(ValueError, match="more than MAX_FIELD_ORDER"):
             FiniteField(1000003, 4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FiniteField(3, 10**4),
+            lambda: FiniteField(3, 10**7),
+            lambda: count_points(FFCurve(3, (0, 1, 2)), 10**4),
+        ],
+        ids=["field-1e4", "field-1e7", "count-points-1e4"],
+    )
+    def test_huge_degree_refused_before_the_power(self, build):
+        # 3^(10^4) has 4772 digits, past int-to-str conversion; 3^(10^7)
+        # takes seconds to form
+        with pytest.raises(ValueError, match="more than MAX_FIELD_ORDER"):
+            build()
 
 
 class TestNonresidue:

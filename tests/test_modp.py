@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prymcover import modp
 from prymcover.errors import InternalCheckError
@@ -30,6 +30,7 @@ class TestKernel:
         assert modp.poly_mod(Poly([F(1), F(2), F(7)]), 7) == (1, 2, 0)
 
     @given(_residues, _residues, st.sampled_from([2, 3, 7, 101]))
+    @example([], [1, 2], 7)
     def test_mul_and_sub_match_integer_polys(self, a, b, p):
         assert modp.mul(a, b, p) == _reduced(Poly(a) * Poly(b), p)
         assert modp.sub(a, b, p) == _reduced(Poly(a) - Poly(b), p)

@@ -12,7 +12,7 @@ from prymcover.covers import (
     curve_through_betas,
     prym_curve_equation,
 )
-from prymcover.curves import CurvePoint, is_on_curve, make_curve
+from prymcover.curves import CurvePoint, HyperCurve, is_on_curve, make_curve
 from prymcover.errors import InternalCheckError
 from prymcover.points import (
     _at_target,
@@ -361,6 +361,16 @@ class TestEliminationInT:
             recover_points_detailed(G2, spec, _g2_candidates())
         with pytest.raises(InternalCheckError, match="vanish at x = x_Q"):
             cr_elimination_poly(G2, G2_Q_POLE, (0, 1, 2, 3), F(17, 5))
+
+    def test_curve_polynomial_built_once(self, monkeypatch):
+        built = []
+        poly = HyperCurve.poly
+        monkeypatch.setattr(
+            HyperCurve, "poly", lambda self: built.append(self) or poly(self)
+        )
+        spec = IntegralitySpec(ONE_OVER_X, (), 100)
+        recover_points_detailed(G2, spec, _g2_candidates())
+        assert built == [G2]
 
     @pytest.mark.parametrize("count, builds", [(16, 1), (0, 0)])
     def test_eliminations_per_call(self, monkeypatch, count, builds):

@@ -9,9 +9,13 @@ from prymcover.polys import (
     Poly,
     RatFunc,
     clear_denominators,
+    exact_quotient,
+    mul_coeffs,
     poly_disc,
     poly_gcd,
+    primitive,
     resultant,
+    scaled,
 )
 from prymcover.scalars import sqrt_adjoin
 
@@ -89,6 +93,97 @@ class TestLongOperands:
         for i, c in enumerate(a):
             acc = acc + (fb * c).shift(i)
         assert via_mul == acc
+
+
+def _fraction_schoolbook(a, b):
+    """The product with Fraction(0) accumulators and every term formed."""
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+_S2, _S3 = sqrt_adjoin(2), sqrt_adjoin(3)
+_MIXED = st.sampled_from(
+    [F(0), F(1), F(-3, 2), _S2, -_S2, _S2 * _S3, 1 + _S3, F(1, 2) * _S2]
+)
+
+
+def _times(rows, b):
+    """A polynomial over Z^w (one integer vector per coefficient) times b."""
+    out = [[0] * len(rows[0]) for _ in range(len(rows) + len(b) - 1)]
+    for i, row in enumerate(rows):
+        for j, c in enumerate(b):
+            out[i + j] = [o + c * r for o, r in zip(out[i + j], row)]
+    return out
+
+
+# (3x - 1)^2 times three 17-wide rows: the shape of the elimination matrix
+_B = [1, -6, 9]
+_Q = [[(5 * i + 3 * k) % 11 - 5 for k in range(17)] for i in range(3)]
+
+
+def _perturbed(row, col, by):
+    rows = _times(_Q, _B)
+    rows[row][col] += by
+    return rows
+
+
+class TestIntegerKernel:
+    @given(st.lists(_MIXED, max_size=5), st.lists(_MIXED, max_size=5))
+    def test_mixed_products_match_fraction_schoolbook(self, a, b):
+        got = Poly(a) * Poly(b)
+        assert got == Poly(_fraction_schoolbook(a, b))
+        assert all(isinstance(c, (F, type(_S2))) for c in got.coeffs)
+
+    def test_empty_operand(self):
+        assert not any(mul_coeffs([], [1, 2, 3]))
+        assert not any(mul_coeffs([F(1), _S2], []))
+        assert Poly() * P(1, 2) == Poly()
+
+    def test_exact_division_of_wide_rows(self):
+        assert exact_quotient(_times(_Q, _B), _B) == _Q
+
+    def test_one_column_rows(self):
+        # the shape int_rational_roots uses: (x - 2)^2 (x + 3) / (x - 2)
+        rows = exact_quotient([[12], [-8], [-1], [1]], [-2, 1])
+        assert rows == [[-6], [1], [1]]
+
+    @pytest.mark.parametrize(
+        "row, col, by",
+        [
+            (0, 5, 1),  # remainder only in a row below deg b
+            (1, 0, -2),  # remainder only in the rows below deg b
+            (4, 7, 1),  # top row: the lead 9 does not divide one coordinate
+            (3, 16, 9),  # divisible by the lead, but a remainder is left
+        ],
+    )
+    def test_inexact_division_returns_none(self, row, col, by):
+        assert exact_quotient(_perturbed(row, col, by), _B) is None
+
+    def test_divisor_longer_than_dividend(self):
+        assert exact_quotient([[3, 0]], [1, 2]) is None
+        assert exact_quotient([[0, 0]], [1, 2]) == []
+
+    @pytest.mark.parametrize(
+        "ints, expected",
+        [
+            ([4, 6], (2, [2, 3])),
+            ([2, -4], (-2, [-1, 2])),
+            ([0, 6, -9], (-3, [0, -2, 3])),
+            ([-5], (-5, [1])),
+            ([-7, 0], (7, [-1, 0])),
+        ],
+    )
+    def test_primitive_signs_like_the_last_coefficient(self, ints, expected):
+        assert primitive(ints) == expected
+
+    def test_scaled(self):
+        assert scaled([F(1, 2), F(-2, 3), F(5)]) == (6, [3, -4, 30])
+        assert scaled([F(4), F(-1)]) == (1, [4, -1])
 
 
 class TestResultant:
