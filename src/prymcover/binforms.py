@@ -22,7 +22,7 @@ from . import modp
 from .covers import all_plus_beta_tuple
 from .curves import CurvePoint, HyperCurve, bad_primes
 from .errors import InternalCheckError
-from .polys import Poly, mul_coeffs
+from .polys import Poly
 from .scalars import (
     FactorizationError,
     Rat,
@@ -78,13 +78,6 @@ class BinaryForm:
     @property
     def degree(self) -> int:
         return len(self.factors)
-
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        """Dense coefficients of X^i Z^(r-i), i = 0..r."""
-        out = [self.lam]
-        for d, gm in self.factors:
-            out = mul_coeffs(out, (-gm, d))
-        return tuple(map(Fraction, out))
 
 
 def bf_disc(form: BinaryForm) -> Fraction:
@@ -195,14 +188,6 @@ def certify_form(
     return FormCertificate(form, ps, tuple(entries))
 
 
-def _prime_support(x: Fraction) -> Dict[int, int]:
-    """Signed prime valuations of a nonzero rational."""
-    out: Dict[int, int] = {}
-    for p in rational_prime_support(x):
-        out[p] = rat_ord_p(x, p)
-    return out
-
-
 def _crt(pairs: Sequence[Tuple[int, int]]) -> int:
     """Least nonnegative x with x = r mod m for all (r, m), moduli coprime."""
     x, mod = 0, 1
@@ -264,7 +249,7 @@ def integral_point_to_form(
         + tuple((Fraction(d), Fraction(gm)) for d, gm in zip(deltas, gammas))
     )
 
-    support_r1 = {p: v for p, v in _prime_support(r1).items() if p not in s_work}
+    support_r1 = {p: rat_ord_p(r1, p) for p in rational_prime_support(r1) - s_work}
     neg_primes = sorted(p for p, v in support_r1.items() if v < 0)
     pos_primes = sorted(p for p, v in support_r1.items() if v > 0)
 

@@ -17,7 +17,6 @@ from typing import FrozenSet, Iterable, Set, Tuple, Union
 
 from .polys import Poly, RatFunc, clear_denominators, resultant
 from .scalars import (
-    DEFAULT_FACTOR_BOUND,
     MQElem,
     Rat,
     Scalar,
@@ -123,9 +122,7 @@ def hyperelliptic_involution(curve: HyperCurve, point: CurvePoint) -> CurvePoint
     return CurvePoint(point.x, -point.y, False)
 
 
-def bad_primes(
-    curve: HyperCurve, bound: int = DEFAULT_FACTOR_BOUND
-) -> FrozenSet[int]:
+def bad_primes(curve: HyperCurve) -> FrozenSet[int]:
     """Primes where the split model degenerates, always including 2.
 
     A prime is bad when a root leaves the p-integers, the leading
@@ -135,15 +132,12 @@ def bad_primes(
         raise ValueError("bad primes need a model with rational data")
     roots = curve.rational_roots()
     bad: Set[int] = {2}
-    bad |= rational_prime_support(as_rational(curve.lead), bound)
+    bad |= rational_prime_support(as_rational(curve.lead))
     for r in roots:
-        if r.denominator != 1:
-            bad |= set(factorize(r.denominator, bound))
+        bad |= set(factorize(r.denominator))
     for i, a in enumerate(roots):
         for b in roots[i + 1 :]:
-            num = (a - b).numerator
-            if abs(num) != 1:
-                bad |= set(factorize(num, bound))
+            bad |= set(factorize((a - b).numerator))
     return frozenset(bad)
 
 
@@ -151,22 +145,20 @@ def compute_t(
     curve: HyperCurve,
     func: RatFunc,
     s_primes: Iterable[int] = (),
-    bound: int = DEFAULT_FACTOR_BOUND,
 ) -> Tuple[int, ...]:
     """Finite primes of the support set for S-integrality of `func` on the
     curve: the input S, the curve's bad primes, primes where the function
     degenerates to 0 or infinity, and primes where its zero and pole loci
     collide.  The archimedean place always belongs to the support set and is
     left implicit.  Returns the sorted tuple of finite primes."""
-    t = set(prime_set(s_primes)) | bad_primes(curve, bound)
+    t = set(prime_set(s_primes)) | bad_primes(curve)
     num_int, num_content = clear_denominators(func.num)
     den_int, den_content = clear_denominators(func.den)
     scale = num_content / den_content
-    t |= rational_prime_support(scale, bound)
+    t |= rational_prime_support(scale)
     res = resultant(Poly(num_int), Poly(den_int))
     res_int = as_rational(res)
     if res_int == 0:
         raise ValueError("zero and pole loci share a component")
-    if abs(res_int.numerator) != 1:
-        t |= set(factorize(res_int.numerator, bound))
+    t |= set(factorize(res_int.numerator))
     return tuple(sorted(t))

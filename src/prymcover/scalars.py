@@ -4,15 +4,20 @@ elements of multi-quadratic fields.
 Rationals are `fractions.Fraction` throughout (aliased as `Rat`); the
 valuation of zero is the float infinity sentinel `ORD_INFINITY`, which
 orders above every integer and absorbs addition, exactly as a valuation
-should.  Square roots of non-square rationals live in `MQElem`, whose
-generator set is kept canonical (-1, primes, and at worst one certified
-square-free atom too large to split), so every element has a unique
-coordinate representation and arithmetic never needs a relation check.
+should.  Factoring is trial division by the primes up to
+`DEFAULT_FACTOR_BOUND`, and the cofactor left over must pass `is_prime`.
+Square roots of non-square rationals live in `MQElem`, whose generator set
+is kept canonical (-1, primes, and at worst one certified square-free atom
+too large to split), so every element has a unique coordinate
+representation and arithmetic never needs a relation check.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple, Union
 
@@ -21,7 +26,7 @@ Rat = Fraction
 #: Valuation of zero.
 ORD_INFINITY = math.inf
 
-#: Default trial-division bound for certified factorizations.
+#: Trial-division bound for certified factorizations.
 DEFAULT_FACTOR_BOUND = 10**6
 
 
@@ -29,12 +34,14 @@ class FactorizationError(ValueError):
     """An integer resisted certification within the trial-division bound."""
 
 
-# Deterministic witness set, exact for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Exact below psi_13 = 3317044064679887385961981, the least strong
+# pseudoprime to all 13 bases (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below 3.3e24)."""
+    """Miller-Rabin test with the prime bases 2..41: exact below psi_13
+    (about 3.3e24); at or above it, True means only a probable prime."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -60,7 +67,10 @@ def is_prime(n: int) -> bool:
 
 def prime_set(s_primes: Iterable[int]) -> Tuple[int, ...]:
     """A set S of finite primes, checked and returned sorted without repeats."""
-    ps = [int(p) for p in s_primes]
+    try:
+        ps = [operator.index(p) for p in s_primes]
+    except TypeError as exc:
+        raise ValueError(f"primes must be integers: {exc}") from None
     for p in ps:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -76,23 +86,15 @@ def strip_primes(n: int, primes: Iterable[int]) -> int:
     return n
 
 
-_sieve_bound = 0
-_sieve_primes: List[int] = []
-
-
-def _primes_up_to(bound: int) -> List[int]:
-    """Cached prime list via a plain sieve; grows monotonically."""
-    global _sieve_bound, _sieve_primes
-    if bound <= _sieve_bound:
-        return _sieve_primes
-    flags = bytearray([1]) * (bound + 1)
+@functools.lru_cache(maxsize=None)
+def _sieved_primes() -> List[int]:
+    """The primes up to DEFAULT_FACTOR_BOUND, sieved on first use, not at import."""
+    flags = bytearray([1]) * (DEFAULT_FACTOR_BOUND + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
+    for p in range(2, math.isqrt(DEFAULT_FACTOR_BOUND) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    _sieve_primes = [i for i, f in enumerate(flags) if f]
-    _sieve_bound = bound
-    return _sieve_primes
+    return list(itertools.compress(range(DEFAULT_FACTOR_BOUND + 1), flags))
 
 
 def rat_ord_p(r: Union[Rat, int], p: int) -> Union[int, float]:
@@ -139,63 +141,11 @@ def _perfect_power(n: int) -> Union[Tuple[int, int], None]:
     return None
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Dict[int, int]:
-    """Certified prime factorization of |n| (n nonzero).
-
-    Trial division by primes up to `bound`; the surviving cofactor must then
-    be 1, a certified prime, or a certified prime power.  Anything else
-    raises FactorizationError rather than returning a partial answer.
-    """
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    out: Dict[int, int] = {}
-    for p in _primes_up_to(bound):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
-    pw = _perfect_power(n)
-    if pw is not None and is_prime(pw[0]):
-        out[pw[0]] = out.get(pw[0], 0) + pw[1]
-        return out
-    raise FactorizationError(
-        f"cofactor {n} is composite with no factor below {bound}"
-    )
-
-
-def rational_prime_support(
-    r: Union[Rat, int], bound: int = DEFAULT_FACTOR_BOUND
-) -> FrozenSet[int]:
-    """Primes dividing numerator or denominator of the nonzero rational r."""
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError("zero has no prime support")
-    primes = set(factorize(r.numerator, bound)) if abs(r.numerator) != 1 else set()
-    if r.denominator != 1:
-        primes |= set(factorize(r.denominator, bound))
-    return frozenset(primes)
-
-
-def sqrt_decompose(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Tuple[List[int], int]:
-    """Write n > 0 as (product of atoms) * t**2 with a square-free atom product.
-
-    Atoms are primes up to `bound`, certified large primes, or at worst a
-    composite cofactor certified square-free (a product of two distinct
-    primes above the bound); atoms are always pairwise coprime.  Raises
-    FactorizationError when square-freeness cannot be certified.
-    """
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    atoms: List[int] = []
-    t = 1
-    for p in _primes_up_to(bound):
+def _trial_divide(n: int) -> Tuple[Dict[int, int], int]:
+    """Exponents of the sieved primes in n > 0, and the cofactor left over:
+    1, a prime, or a number with no prime factor up to DEFAULT_FACTOR_BOUND."""
+    exps: Dict[int, int] = {}
+    for p in _sieved_primes():
         if p * p > n:
             break
         e = 0
@@ -203,42 +153,72 @@ def sqrt_decompose(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Tuple[List[int]
             n //= p
             e += 1
         if e:
-            t *= p ** (e // 2)
-            if e % 2:
-                atoms.append(p)
-    if n > 1:
-        if is_prime(n):
-            atoms.append(n)
-        else:
-            r = math.isqrt(n)
-            if r * r == n:
-                t *= r
-            else:
-                pw = _perfect_power(n)
-                if pw is not None:
-                    root, k = pw
-                    # k is odd here: an even k would have made n a square.
-                    t *= root ** (k // 2)
-                    if is_prime(root) or root < bound**3:
-                        atoms.append(root)
-                    else:
-                        raise FactorizationError(
-                            f"cannot certify square-free part of {root}"
-                        )
-                elif n < bound**3:
-                    # No factor below bound and not a square, so n is a
-                    # product of two distinct primes: square-free.
-                    atoms.append(n)
-                else:
-                    raise FactorizationError(
-                        f"cannot certify square-free part of {n}"
-                    )
-    return sorted(atoms), t
+            exps[p] = e
+    return exps, n
 
 
-def sqrt_adjoin(
-    r: Union[Rat, int], bound: int = DEFAULT_FACTOR_BOUND
-) -> Union[Rat, "MQElem"]:
+def _cofactor_root(c: int) -> Tuple[int, int, bool]:
+    """The cofactor c > 1 as r**k with k maximal, and whether r is prime.
+    The common case, a prime c, is tested before any root search."""
+    if is_prime(c):
+        return c, 1, True
+    r, k = _perfect_power(c) or (c, 1)
+    return r, k, k > 1 and is_prime(r)
+
+
+def factorize(n: int) -> Dict[int, int]:
+    """Certified prime factorization of |n| (n nonzero).
+
+    Trial division by the primes up to DEFAULT_FACTOR_BOUND; the surviving
+    cofactor must then be 1, a prime, or a prime power.  Anything else
+    raises FactorizationError rather than returning a partial answer.  A
+    cofactor at or above psi_13 (about 3.3e24) passes only as a probable
+    prime (see `is_prime`).
+    """
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    out, c = _trial_divide(abs(n))
+    if c > 1:
+        r, k, prime = _cofactor_root(c)
+        if not prime:
+            raise FactorizationError(
+                f"cofactor {c} is composite with no factor below {DEFAULT_FACTOR_BOUND}"
+            )
+        out[r] = k
+    return out
+
+
+def rational_prime_support(r: Union[Rat, int]) -> FrozenSet[int]:
+    """Primes dividing numerator or denominator of the nonzero rational r."""
+    r = Fraction(r)
+    if r == 0:
+        raise ValueError("zero has no prime support")
+    return frozenset(factorize(r.numerator)).union(factorize(r.denominator))
+
+
+def sqrt_decompose(n: int) -> Tuple[List[int], int]:
+    """Write n > 0 as (product of atoms) * t**2 with a square-free atom product.
+
+    Atoms are primes up to DEFAULT_FACTOR_BOUND, certified large primes, or
+    at worst a composite cofactor certified square-free (a product of two
+    distinct primes above the bound); atoms are always pairwise coprime.
+    Raises FactorizationError when square-freeness cannot be certified.
+    """
+    if n <= 0:
+        raise ValueError("need a positive integer")
+    exps, c = _trial_divide(n)
+    if c > 1:
+        r, k, prime = _cofactor_root(c)
+        # r has no factor up to the bound and is no power, so below the
+        # bound cubed it is one prime or two distinct ones: square-free.
+        if k % 2 and not prime and r >= DEFAULT_FACTOR_BOUND**3:
+            raise FactorizationError(f"cannot certify square-free part of {r}")
+        exps[r] = k
+    atoms = sorted(p for p, e in exps.items() if e % 2)
+    return atoms, math.prod(p ** (e // 2) for p, e in exps.items())
+
+
+def sqrt_adjoin(r: Union[Rat, int]) -> Union[Rat, "MQElem"]:
     """Exact square root of a rational.
 
     Returns a Fraction when r is a perfect square, otherwise the MQElem
@@ -249,7 +229,7 @@ def sqrt_adjoin(
     if r == 0:
         return Fraction(0)
     m = r.numerator * r.denominator
-    atoms, t = sqrt_decompose(abs(m), bound)
+    atoms, t = sqrt_decompose(abs(m))
     coeff = Fraction(t, r.denominator)
     if m < 0:
         atoms = [-1] + atoms
@@ -313,17 +293,14 @@ class MQElem:
         for d in key:
             if d == -1:
                 d_atoms: List[int] = [-1]
-            elif d > 1:
-                d_atoms, t = sqrt_decompose(d)
-                if t != 1:
-                    raise ValueError(f"generator {d} is not square-free")
-            elif d < -1:
-                d_atoms, t = sqrt_decompose(-d)
-                if t != 1:
-                    raise ValueError(f"generator {d} is not square-free")
-                d_atoms = [-1] + d_atoms
-            else:
+            elif d in (0, 1):
                 raise ValueError(f"invalid generator {d}")
+            else:
+                d_atoms, t = sqrt_decompose(abs(d))
+                if t != 1:
+                    raise ValueError(f"generator {d} is not square-free")
+                if d < 0:
+                    d_atoms = [-1] + d_atoms
             for a in d_atoms:
                 if a in cur:
                     cur.discard(a)

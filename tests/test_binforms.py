@@ -44,17 +44,6 @@ class TestBinaryForm:
         with pytest.raises(ValueError, match="multiplier"):
             BinaryForm(((F(1), F(1)),), F(0))
 
-    def test_coeffs_order(self):
-        # 2*(X - Z)(X + 3Z) = 2*(X^2 + 2XZ - 3Z^2), constant-in-X first
-        form = BinaryForm(((F(1), F(1)), (F(1), F(-3))), F(2))
-        assert form.coeffs() == (F(-6), F(4), F(2))
-
-    def test_coeffs_are_fractions(self):
-        # X * (-Z) = -XZ: the X^0 and X^2 coefficients are exact zeros
-        coeffs = BinaryForm(((F(1), F(0)), (F(0), F(1)))).coeffs()
-        assert coeffs == (0, -1, 0)
-        assert all(type(c) is F for c in coeffs)
-
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             GL2Matrix(2, 4, 1, 2)

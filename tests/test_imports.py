@@ -1,12 +1,15 @@
 """Every name a module imports is used in it, every import sits at module
-level, and every private helper is used somewhere in the package.
+level, every private helper is used somewhere in the package, and no
+function rebinds a module-level name.
 
 Stdlib `ast` scans of the modules under src/prymcover/.  An imported name
 that never appears as a Name node, nor as the base of an attribute chain, is
 a leftover (the package's __init__.py re-exports on purpose and is skipped).
 An import inside a function body hides a dependency from the module header.
 A module-level `_`-prefixed function, class or constant that no module of
-the package loads, by name, attribute or import, is dead.
+the package loads, by name, attribute or import, is dead.  A `global`
+statement makes module state that changes behind its callers' backs; a cache
+belongs in `functools.lru_cache`.
 """
 
 import ast
@@ -124,3 +127,29 @@ def test_private_scan_finds_a_dead_helper():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def global_statements(source: str):
+    """(line, names) for each `global` statement in the source."""
+    return sorted(
+        (node.lineno, tuple(node.names))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+    )
+
+
+def test_scan_finds_a_global_statement():
+    source = (
+        "_cache = {}\n"
+        "_count = 0\n"
+        "def f(x):\n"
+        "    _cache[x] = x\n"
+        "    global _count, _last\n"
+        "    _count += 1\n"
+    )
+    assert global_statements(source) == [(5, ("_count", "_last"))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []

@@ -20,6 +20,10 @@ from prymcover.scalars import (
     strip_primes,
 )
 
+# The least strong pseudoprime to the 12 prime bases 2..37 (Sorenson and
+# Webster, Math. Comp. 86, 2017): 399165290221 * 798330580441.
+PSI_12 = 318665857834031151167461
+
 
 class TestIsPrime:
     def test_small(self):
@@ -35,15 +39,26 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)
         assert not is_prime((2**31 - 1) * (2**61 - 1))
 
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        assert not is_prime(PSI_12)
+        with pytest.raises(FactorizationError):
+            factorize(PSI_12)
+
 
 class TestPrimeSet:
     def test_sorted_without_repeats(self):
         assert prime_set([7, 2, 7, 3, 2]) == (2, 3, 7)
         assert prime_set(()) == ()
 
-    @pytest.mark.parametrize("bad", [0, 1, 4, -3])
+    @pytest.mark.parametrize("bad", [0, 1, 4, -3, PSI_12])
     def test_non_primes_rejected(self, bad):
         with pytest.raises(ValueError, match=f"{bad} is not prime"):
+            prime_set([2, bad])
+
+    @pytest.mark.parametrize("bad", [2.5, 3.7, "7"])
+    def test_non_integers_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
             prime_set([2, bad])
 
     def test_strip_primes(self):
@@ -128,6 +143,27 @@ class TestSqrtDecompose:
         n = 1000003 * 1000033
         atoms, t = sqrt_decompose(n * n)
         assert atoms == [] and t == n
+
+    @given(
+        st.dictionaries(
+            st.sampled_from([2, 3, 5, 999983, 1000003, 1000033, 2**61 - 1]),
+            st.integers(min_value=1, max_value=4),
+            max_size=4,
+        )
+    )
+    def test_matches_factorize(self, exps):
+        # factorize and sqrt_decompose share one cofactor rule: wherever the
+        # factorization is certified, the square-free split is read off it.
+        n = math.prod(p**e for p, e in exps.items())
+        try:
+            f = factorize(n)
+        except FactorizationError:
+            return
+        assert f == exps
+        assert sqrt_decompose(n) == (
+            sorted(p for p, e in f.items() if e % 2),
+            math.prod(p ** (e // 2) for p, e in f.items()),
+        )
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_reconstruct(self, n):
