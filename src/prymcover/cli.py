@@ -125,7 +125,7 @@ def cmd_prym_check(args) -> int:
     if not primes:
         primes = (_usable_prime(certs[0], args.prime_budget),)
     for p in primes:
-        check_field_order(p, 2 * curve.genus)
+        check_field_order(p, curve.genus)
     cells: List[Dict[str, Any]] = []
     any_failed = False
     for i, cert in enumerate(certs):

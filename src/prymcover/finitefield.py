@@ -32,9 +32,9 @@ from .errors import InternalCheckError
 from .scalars import factorize, is_prime
 
 # Largest field FiniteField constructs, refused before its modulus search
-# (log tables take 24 bytes per element, so 24 MB at the limit).  It admits
-# F_{31^4}, the largest field a genus-2 check meets within the CLI's default
-# prime budget.
+# (log tables take 24 bytes per element, so 24 MB at the limit).  The Prym
+# check builds F_{p^g}, so it admits genus 2 up to p = 1021, genus 3 up to
+# p = 101 and genus 4 up to p = 31.
 MAX_FIELD_ORDER = 1 << 20
 ZERO_LOG = -1  # the log of zero in every table
 

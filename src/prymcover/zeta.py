@@ -18,6 +18,13 @@ x_P and x_Q lie in F_p, so each summand is constant on the Frobenius orbits
 {x^(p^j)}; the sums visit x = 0 and one representative per orbit, weighted
 by the orbit's size.  The tests check every count against a definitional
 enumeration with the field's own `add`, `mul` and `chi`.
+
+The product identity needs no field past F_{p^g}.  Jac(cover) is isogenous
+to Jac(base) x Prym (Mumford, "Prym varieties I", 1974), so
+L_cover = L_base * L_prym, and the g-dimensional factor L_prym is fixed by
+its first g power sums s_k(cover) - s_k(base) and its functional equation
+(Kani and Rosen, Math. Ann. 284, 1989).  The cover's counts over
+F_{p^(g+1)}..F_{p^(2g)} are read back from that product.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .finitefield import (
     get_field,
     least_nonresidue,
 )
-from .polys import poly_disc
+from .polys import mul_coeffs, poly_disc
 from .scalars import as_rational, is_prime, rat_ord_p
 
 
@@ -290,6 +297,20 @@ class LPoly:
         """Value at 1: the number of rational points of the Jacobian."""
         return sum(self.coeffs)
 
+    def counts(self, n: int) -> Tuple[int, ...]:
+        """Point counts over F_{q^k}, k = 1..n, that this numerator predicts:
+        the inverse of `l_polynomial`.  Newton's identities run backwards give
+        the power sums s_k = -k a_k - sum_{j<k} a_j s_{k-j} of the reciprocal
+        roots (a_k = 0 past the degree), and N_k = q^k + 1 - s_k."""
+        a = self.coeffs
+        s: List[int] = []
+        for k in range(1, n + 1):
+            acc = -k * a[k] if k < len(a) else 0
+            for j in range(1, min(k, len(a))):
+                acc -= a[j] * s[k - j - 1]
+            s.append(acc)
+        return tuple(self.q**k + 1 - sk for k, sk in enumerate(s, 1))
+
 
 def l_polynomial(q: int, counts: Sequence[int], genus: int) -> LPoly:
     """Zeta numerator of a genus-`genus` curve over F_q from the point counts
@@ -356,6 +377,9 @@ class PrymCheckReport:
     both the trivial twist ("1") and the least nonresidue twist are computed;
     `matched_twists` lists those c with
         #J(cover) = #J(base) * #J(prym twisted by c).
+    `counts_cover[:g]` are counted; `counts_cover[g:]` are derived from
+    L_base * L_prym, the cover's numerator by the isogeny
+    Jac(cover) ~ Jac(base) x Prym.
     """
 
     prime: int
@@ -395,17 +419,21 @@ def prym_check_obstruction(cert: CoverCertificate, p: int) -> str:
 def prym_product_check(cert: CoverCertificate, p: int) -> PrymCheckReport:
     """Test #J(cover) = #J(base) * #J(prym twist) over F_p at a good prime.
 
-    Counts the base curve over F_{p^i} (i <= g), the double cover over
-    F_{p^i} (i <= 2g), and both quadratic twists of the Prym-side model,
-    then compares Jacobian orders.  Raises ValueError when p is unusable,
-    with the obstruction in the message, and when F_{p^(2g)} is larger than
-    MAX_FIELD_ORDER, before any field is built.
+    Counts the base curve, the double cover and both quadratic twists of the
+    Prym-side model over F_{p^i}, i <= g, then compares Jacobian orders.
+    By the isogeny Jac(cover) ~ Jac(base) x Prym (Mumford 1974) the
+    pseudo-counts p^i + 1 - N_i(base) + N_i(cover) give L_prym, and the
+    cover's counts for g < i <= 2g are derived from L_base * L_prym.  A
+    Weil-bound or integrality failure of either, or a derived count that
+    differs from a counted one, raises InternalCheckError.  Raises
+    ValueError when p is unusable, with the obstruction in the message, and
+    when F_{p^g} is larger than MAX_FIELD_ORDER, before any field is built.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     t = cert.beta
     g = t.curve.genus
-    check_field_order(p, 2 * g)
+    check_field_order(p, g)
     for b in t.betas:
         try:
             as_rational(b)
@@ -414,11 +442,20 @@ def prym_product_check(cert: CoverCertificate, p: int) -> PrymCheckReport:
     cover, reason = _reduce_for_check(cert, p)
     if reason:
         raise ValueError(f"prime {p} unusable: {reason}")
-    base_ff = cover.base
-    counts_base = tuple(count_points(base_ff, i) for i in range(1, g + 1))
-    counts_cover = tuple(count_double_cover(cover, i) for i in range(1, 2 * g + 1))
-    order_base = l_polynomial(p, counts_base, g).order()
-    order_cover = l_polynomial(p, counts_cover, 2 * g).order()
+    counts_base = tuple(count_points(cover.base, i) for i in range(1, g + 1))
+    counted = tuple(count_double_cover(cover, i) for i in range(1, g + 1))
+    pseudo = [p**i + 1 - nb + nc for i, (nb, nc) in enumerate(zip(counts_base, counted), 1)]
+    lp_base = l_polynomial(p, counts_base, g)
+    try:
+        product = tuple(mul_coeffs(lp_base.coeffs, l_polynomial(p, pseudo, g).coeffs))
+        counts_cover = LPoly(product, p, 2 * g).counts(2 * g)
+        lp_cover = l_polynomial(p, counts_cover, 2 * g)
+    except ValueError as exc:
+        raise InternalCheckError(f"derived cover numerator: {exc}") from None
+    if counts_cover[:g] != counted or lp_cover.coeffs != product:
+        raise InternalCheckError("L_base * L_prym does not reproduce the cover counts")
+    order_base = lp_base.order()
+    order_cover = lp_cover.order()
     nr = least_nonresidue(p)
     prym_roots = _prym_roots(cert)
     counts_prym: Dict[str, Tuple[int, ...]] = {}

@@ -12,7 +12,7 @@ Criterion 3 needs a caveat.  On E1 the Jacobian product identity singles
 out exactly one quadratic twist in every cell at the primes 13, 17 and 29.
 On G2 ten of the sixteen cells have a Prym model whose Frobenius trace
 vanishes at every usable odd prime (character-sum scans up to p = 229
-found no clean prime, and cell cost grows like p^4), and a vanishing trace
+found no clean prime, and cell cost grows like p^g), and a vanishing trace
 makes the two twists share one L-polynomial, so no point count over any
 extension field can separate them.  The main test therefore pins the
 exact degeneracy pattern: uniqueness wherever the twist orders differ,
@@ -66,7 +66,12 @@ from prymcover.points import (
 )
 from prymcover.polys import Poly, RatFunc
 from prymcover.scalars import rat_ord_p, rational_prime_support
-from prymcover.zeta import l_polynomial, prym_product_check
+from prymcover.zeta import (
+    count_double_cover,
+    l_polynomial,
+    prym_product_check,
+    reduce_cover,
+)
 
 E1 = make_curve([F(-1, 3), F(9, 8), F(25, 24)])
 E1_P = CurvePoint.affine(F(1), F(1, 12))
@@ -252,6 +257,26 @@ def test_criterion_3_full_l_polynomial_identity(g2_twist_reports):
                 "genus %d at p=%d: orders match %r, L-polynomials %r"
                 % (g, rep.prime, rep.matched_twists, full)
             )
+    assert len(cells) == 28
+    assert not failures, failures
+
+
+def test_criterion_3_derived_cover_counts_match_counted(g2_twist_reports):
+    # The report derives the cover's counts above degree g from
+    # L_base * L_prym; count them over every F_{p^k}, k <= 2g, instead.
+    reports, _ = g2_twist_reports
+    cells = [(1, reconstruct_h_f(t), p)
+             for t in beta_tuples(E1, E1_P, E1_Q) for p in E1_GOOD_PRIMES]
+    cells += [(2, reconstruct_h_f(t), G2_PRIME) for t in beta_tuples(G2, G2_P, G2_Q)]
+    g2_reports = iter(reports)
+    failures = []
+    for g, cert, p in cells:
+        rep = prym_product_check(cert, p) if g == 1 else next(g2_reports)
+        cover = reduce_cover(cert, p)
+        counted = tuple(count_double_cover(cover, k) for k in range(1, 2 * g + 1))
+        if rep.counts_cover != counted:
+            failures.append("genus %d at p=%d: derived %r, counted %r"
+                            % (g, p, rep.counts_cover, counted))
     assert len(cells) == 28
     assert not failures, failures
 
@@ -574,6 +599,23 @@ def test_genus_three_recovery_from_all_models():
     ]
     assert p_pt == CurvePoint.affine(F(387072, 25), y)
     assert elapsed < 2.5
+
+
+def test_genus_three_product_identity_at_19():
+    # 19 is the least prime where all 64 covers of the G3_BETAS instance
+    # reduce well.  The check builds no field past F_{19^3}; every cell must
+    # match a twist, by order and by the whole L-polynomial identity.
+    curve, p_pt, q_pt = curve_through_betas(list(G3_BETAS))
+    tuples = beta_tuples(curve, p_pt, q_pt)
+    failures = []
+    for k, tup in enumerate(tuples):
+        rep = prym_product_check(reconstruct_h_f(tup), 19)
+        full = _full_identity_twists(rep, 3)
+        if not rep.matched_twists or full != tuple(sorted(rep.matched_twists)):
+            failures.append("tuple %d: orders match %r, L-polynomials %r"
+                            % (k, rep.matched_twists, full))
+    assert len(tuples) == 64
+    assert not failures, failures
 
 
 def test_criterion_8_elimination_nonzero():

@@ -106,15 +106,15 @@ class TestPrymCheck:
         assert code == 2
 
     def test_field_too_large_exits_2(self, capsys, g2_file):
-        # F_{101^4} would have about 10^8 elements: refused before any cell
+        # F_{1031^2} has more than 2^20 elements: refused before any cell
         code = main([
             "prym-check", g2_file, "--p=1,1/144", "--q=0,35/48",
-            "--primes", "17,101",
+            "--primes", "17,1031",
         ])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "F_101^4 has 104060401 elements" in captured.err
+        assert "F_1031^2 has 1062961 elements" in captured.err
 
     def test_budget_autopick(self, capsys, e1_file):
         code, out = _run(capsys, [

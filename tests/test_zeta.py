@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -28,17 +29,17 @@ G2_Q = CurvePoint.affine(0, F(35, 48))
 
 
 def brute_count(ffc: FFCurve, deg: int) -> int:
-    """Independent point count: direct enumeration of (x, y) pairs."""
+    """Independent point count: the (x, y) pairs with y^2 = f(x), from the
+    multiplicity of each square over every y."""
     field = get_field(ffc.p, deg)
     coeffs = ffc.coeffs()
+    squares = Counter(field.mul(y, y) for y in field.element_list())
     total = 0
     for x in field.element_list():
         fx = 0
         for c in reversed(coeffs):
             fx = field.add(field.mul(fx, x), field.embed(c))
-        for y in field.element_list():
-            if field.mul(y, y) == fx:
-                total += 1
+        total += squares[fx]
     if ffc.degree % 2 == 1:
         total += 1
     else:
@@ -288,22 +289,27 @@ class TestLPolynomial:
         assert a[3] == 7 * a[1]
 
     def test_predicts_higher_counts(self):
-        # The numerator built from N_1, N_2 determines N_3; compare with a
-        # brute-force count over F_{q^3}.
+        # The numerator built from N_1, ..., N_g determines N_k for k > g
+        # (for genus 1, also past the degree of the numerator); compare
+        # with brute-force counts.
         ffc = FFCurve(7, (0, 1, 2, 3, 5))
-        counts = [count_points(ffc, i) for i in (1, 2)]
-        lp = l_polynomial(7, counts, 2)
-        a = lp.coeffs
-        e1, e2, e3 = -a[1], a[2], -a[3]
-        s1 = e1
-        s2 = e1 * s1 - 2 * e2
-        s3 = e1 * s2 - e2 * s1 + 3 * e3
-        predicted_n3 = 7**3 + 1 - s3
-        assert predicted_n3 == brute_count(ffc, 3)
+        lp = l_polynomial(7, [count_points(ffc, i) for i in (1, 2)], 2)
+        assert lp.counts(4)[2:] == (brute_count(ffc, 3), brute_count(ffc, 4))
+        ell = FFCurve(11, (0, 1, 5))
+        lp = l_polynomial(11, [count_points(ell, 1)], 1)
+        assert lp.counts(3) == tuple(brute_count(ell, k) for k in (1, 2, 3))
 
     def test_weil_violation(self):
         with pytest.raises(ValueError):
             l_polynomial(5, [100], 1)
+
+    def test_counts_round_trip(self):
+        # LPoly.counts inverts l_polynomial on genus 1, 2 and 3 models.
+        for ffc in (FFCurve(11, (0, 1, 5)), FFCurve(7, (0, 1, 2, 3, 5)),
+                    FFCurve(13, (1, 2, 4, 7, 9, 11, 12))):
+            g = ffc.genus
+            lp = l_polynomial(ffc.p, [count_points(ffc, i) for i in range(1, g + 1)], g)
+            assert l_polynomial(ffc.p, lp.counts(g), g) == lp
 
     def test_jacobian_order_positive(self):
         for roots in [(0, 1, 4), (0, 2, 3), (1, 2, 4)]:
@@ -354,9 +360,30 @@ class TestPrymProductCheck:
         assert prym_check_obstruction(cert, 7) == "marked points collide mod p"
 
     def test_field_size_guard_uses_the_estimate(self):
-        # G2 at p = 101 would count the cover over F_{101^4}: about 10^8
-        # elements.  The check refuses it before any field exists.
+        # G2 at p = 1031 would count over F_{1031^2}: 1031 is the least prime
+        # whose square passes 2^20.  The check refuses it before any field
+        # exists.
         cert = reconstruct_h_f(beta_tuples(G2, G2_P, G2_Q)[0])
-        with pytest.raises(ValueError, match=r"F_101\^4 has 104060401 elements"):
-            prym_product_check(cert, 101)
-        assert not [key for key in _FIELD_CACHE if key[0] == 101]
+        with pytest.raises(ValueError, match=r"F_1031\^2 has 1062961 elements"):
+            prym_product_check(cert, 1031)
+        assert not [key for key in _FIELD_CACHE if key[0] == 1031]
+
+    def test_g2_at_101_builds_no_field_past_degree_2(self):
+        # The cover's counts over F_{101^3} and F_{101^4} are derived, so
+        # only F_101 and F_{101^2} are built.
+        for t in beta_tuples(G2, G2_P, G2_Q):
+            assert prym_product_check(reconstruct_h_f(t), 101).matched_twists, t.betas
+        assert not [key for key in _FIELD_CACHE if key[0] == 101 and key[1] > 2]
+
+    def test_inconsistent_cover_counts_raise(self, monkeypatch):
+        # Cover counts that no isogeny factor explains: L_prym fails the
+        # Weil bound, and that is an internal failure, not a bad prime.
+        import prymcover.zeta as zeta
+
+        counted = zeta.count_double_cover
+        monkeypatch.setattr(
+            zeta, "count_double_cover", lambda cover, deg: counted(cover, deg) + 1000
+        )
+        cert = reconstruct_h_f(beta_tuples(E1, E1_P, E1_Q)[0])
+        with pytest.raises(InternalCheckError, match="Weil bound"):
+            prym_product_check(cert, 13)
