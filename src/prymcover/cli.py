@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import jsonio
 from .binforms import certify_form, integral_point_to_form, reduction_classify
@@ -126,10 +126,12 @@ def cmd_prym_check(args) -> int:
         primes = (_usable_prime(certs[0], args.prime_budget),)
     for p in primes:
         check_field_order(p, curve.genus)
-    cells: List[Dict[str, Any]] = []
+    # Prime-major, so that only one prime's fields are cached at a time;
+    # the cells are emitted tuple-major.
+    cells: Dict[Tuple[int, int], Dict[str, Any]] = {}
     any_failed = False
-    for i, cert in enumerate(certs):
-        for p in primes:
+    for p in primes:
+        for i, cert in enumerate(certs):
             cell: Dict[str, Any] = {"tuple": i, "p": p}
             try:
                 rep = prym_product_check(cert, p)
@@ -139,8 +141,9 @@ def cmd_prym_check(args) -> int:
                 cell["report"] = jsonio.prym_report_to_json(rep)
                 if not rep.matched_twists:
                     any_failed = True
-            cells.append(cell)
-    _emit({"curve": jsonio.curve_to_json(curve), "cells": cells}, args.out)
+            cells[i, p] = cell
+    ordered = [cells[i, p] for i in range(len(certs)) for p in primes]
+    _emit({"curve": jsonio.curve_to_json(curve), "cells": ordered}, args.out)
     if any_failed:
         raise InternalCheckError("a twist cell matched no Jacobian product")
     return 0

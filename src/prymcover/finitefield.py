@@ -11,7 +11,7 @@ reproducible across runs.  Products, powers and the irreducibility test of
 the modulus run on the F_p polynomial kernel in `modp`.
 
 Bulk work runs on integer discrete logarithms to the base g (Zech
-logarithms, after Huber, IEEE Trans. IT 36, 1990): three `array('l')` tables,
+logarithms, after Huber, IEEE Trans. IT 36, 1990): three `array('i')` tables,
 built once per field on first use, map log -> code, code -> log (with
 ZERO_LOG for zero) and i -> log(1 + g^i).  A product is a sum of logs modulo
 q - 1, a sum is one Zech lookup, the quadratic character is the parity of
@@ -32,7 +32,7 @@ from .errors import InternalCheckError
 from .scalars import factorize, is_prime
 
 # Largest field FiniteField constructs, refused before its modulus search
-# (log tables take 24 bytes per element, so 24 MB at the limit).  The Prym
+# (log tables take 12 bytes per element, so 12 MB at the limit).  The Prym
 # check builds F_{p^g}, so it admits genus 2 up to p = 1021, genus 3 up to
 # p = 101 and genus 4 up to p = 31.
 MAX_FIELD_ORDER = 1 << 20
@@ -205,12 +205,12 @@ class FiniteField:
         cols = [_digits(self.mul(g, p**j), p, deg) for j in range(deg)]
         rows = list(zip(*cols))
         weights = [p**k for k in range(deg)]
-        exp = array("l", [0]) * n
+        exp = array("i", [0]) * n
         one = v = _digits(1, p, deg)
         for i in range(n):
             exp[i] = sum(map(operator.mul, weights, v))
             v = [sum(map(operator.mul, row, v)) % p for row in rows]
-        log = array("l", [ZERO_LOG]) * q
+        log = array("i", [ZERO_LOG]) * q
         for i, c in enumerate(exp):
             log[c] = i
         if v != one or log[0] != ZERO_LOG or log.count(ZERO_LOG) != 1:
@@ -218,7 +218,7 @@ class FiniteField:
                 f"powers of the generator of {self!r} miss a nonzero element"
             )
         top = p - 1
-        zech = array("l", [log[c - top if c % p == top else c + 1] for c in exp])
+        zech = array("i", [log[c - top if c % p == top else c + 1] for c in exp])
         return LogTables(exp, log, zech)
 
     def frobenius_orbits(self) -> Tuple[array, array]:
@@ -231,7 +231,7 @@ class FiniteField:
         if self._orbits is None:
             p, n = self.p, self.order - 1
             seen = bytearray(n)
-            reps, sizes = array("l"), array("l")
+            reps, sizes = array("i"), array("i")
             for i in range(n):
                 if seen[i]:
                     continue
@@ -263,7 +263,7 @@ class FiniteField:
         nonsquares."""
         self._check_odd()
         exp = self.logs().exp
-        out = array("l", [-1]) * self.order
+        out = array("i", [-1]) * self.order
         for j in range(len(exp) // 2):
             out[exp[2 * j]] = exp[j]
         return out
@@ -276,10 +276,14 @@ _FIELD_CACHE: Dict[Tuple[int, int], FiniteField] = {}
 
 
 def get_field(p: int, deg: int = 1) -> FiniteField:
-    """Shared field instances so log tables are built once per run."""
+    """Shared field instances so log tables are built once per run.  Only one
+    characteristic is kept, so memory is bounded by one prime's tables."""
     key = (p, deg)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FiniteField(p, deg)
+        field = FiniteField(p, deg)
+        if any(k[0] != p for k in _FIELD_CACHE):
+            _FIELD_CACHE.clear()
+        _FIELD_CACHE[key] = field
     return _FIELD_CACHE[key]
 
 

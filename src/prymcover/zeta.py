@@ -4,20 +4,21 @@ Prym-side model.
 
 Counts use the quadratic-character form sum_x (1 + chi(f(x))) plus the
 standard contribution at infinity.  The double cover z^2 = y + h(x) of an
-odd-degree model y^2 = f is counted fiberwise over the base, but the naive
-character sum is wrong at the even-order zeros of y + h: those sit exactly
-at the roots x0 of F (where (y+h)(h-y) = (x-x_P)(x-x_Q)F^2 forces a double
-zero), the affine cover model is singular there, and the smooth model has
-1 + chi((x0-x_P)(x0-x_Q)*2h(x0)) points above each.  Above the base's place
-at infinity the even pole of y + h contributes 1 + chi(lc(h)*lc(f)^(g+1)).
+odd-degree model y^2 = f is counted fiberwise over the base from the norm
+identity (h + y)(h - y) = d F^2, d = (x - x_P)(x - x_Q): the base points
+(x, +-y0), y0 != 0, carry 2 + chi(u)(1 + chi(d)) cover points, u a nonzero
+one of h(x) +- y0.  That covers the ramified points (d = 0) and the smooth
+model above the double zeros of y + h at the roots of F, so F is never
+evaluated.  Above the base's place at infinity the even pole of y + h
+contributes 1 + chi(lc(h)*lc(f)^(g+1)).
 
-Every sum runs in the field's discrete-log representation: f, h and F are
+Every sum runs in the field's discrete-log representation: f and h are
 evaluated by Horner on logs (a product adds logs, a sum is a Zech lookup),
-chi is the parity of a log and a square root halves it.  All of f, h, F,
-x_P and x_Q lie in F_p, so each summand is constant on the Frobenius orbits
+chi is the parity of a log and a square root halves it.  All of f, h, x_P
+and x_Q lie in F_p, so each summand is constant on the Frobenius orbits
 {x^(p^j)}; the sums visit x = 0 and one representative per orbit, weighted
 by the orbit's size.  The tests check every count against a definitional
-enumeration with the field's own `add`, `mul` and `chi`.
+enumeration with the field's own `add`, `mul` and `chi` that evaluates F.
 
 The product identity needs no field past F_{p^g}.  Jac(cover) is isogenous
 to Jac(base) x Prym (Mumford, "Prym varieties I", 1974), so
@@ -225,61 +226,44 @@ def count_double_cover(cover: ReducedCover, deg: int = 1) -> int:
     """Number of points over F_{p^deg} of the smooth model of the double
     cover z^2 = y + h(x) of an odd-degree base y^2 = f(x).
 
-    Affine base points (x, y) with y + h(x) nonzero contribute
-    1 + chi(y + h(x)).  Where y + h vanishes, the valuation decides: at the
-    marked points (odd valuation) the cover is ramified and contributes 1,
-    while above a root x0 of F the zero has order two, the naive plane model
-    is singular there, and the smooth model has
-    1 + chi((x0 - x_p)(x0 - x_q) * 2 h(x0)) points.  Above the base's point
-    at infinity the even pole of y + h gives 1 + chi(lc(h) * lc(f)^(g+1)).
+    With d = (x - x_p)(x - x_q), the fiber above x has 1 + chi(h(x)) points
+    where f(x) = 0, none where chi(f(x)) = -1, and 2 + chi(u)(1 + chi(d))
+    where f(x) = y0^2 != 0, u a nonzero one of h(x) +- y0.  By the norm
+    identity (h + y0)(h - y0) = d F(x)^2 that is 1 + chi(h +- y0) summed
+    where both are nonzero, 1 for the ramified point where d = 0, and the
+    smooth model's 1 + chi(2h d) points above a double zero of y + h at a
+    root of F.  Above the base's point at infinity the even pole of y + h
+    gives 1 + chi(lc(h) * lc(f)^(g+1)).
     """
     base = cover.base
     p = base.p
     _check_fp(p, (cover.x_p, cover.x_q))
     field = get_field(p, deg)
     tabs = field.logs()
-    log, zech = tabs.log, tabs.zech
-    n = field.order - 1
-    half = n // 2
+    log, add = tabs.log, tabs.add
+    half = (field.order - 1) // 2
     lneg_xp, lneg_xq = log[-cover.x_p % p], log[-cover.x_q % p]
-    l2 = log[2 % p]
 
-    def fiber(lx: int, lf: int, lh: int, lg: int) -> int:
+    def fiber(lx: int, lf: int, lh: int) -> int:
         """Points above x = g^lx (x = 0 for lx = ZERO_LOG) given the logs of
-        f(x), h(x) and F(x)."""
+        f(x) and h(x)."""
         if lf < 0:
             # y = 0; h(x) = 0 here would force f(x) = h(x)^2 = 0 too, and
             # either way the fiber has 1 + chi(h(x)) points.
             return 1 + _chi(lh)
         if lf & 1:
             return 0
-        pts = 0
-        for ly in (lf >> 1, (lf >> 1) + half):
-            if lh < 0:
-                pts += 1 + _chi(ly)
-            else:
-                z = zech[(ly - lh) % n]
-                if z >= 0:
-                    pts += 1 + _chi(lh + z)
-                elif lg < 0:
-                    # y + h(x) = 0 above a root of F: the singular point
-                    w = (
-                        _chi(tabs.add(lx, lneg_xp))
-                        * _chi(tabs.add(lx, lneg_xq))
-                        * _chi(l2)
-                        * _chi(lh)
-                    )
-                    pts += 1 + w
-                else:
-                    pts += 1
-        return pts
+        ly = lf >> 1
+        lu = add(lh, ly)
+        if lu < 0:  # h + y0 = 0, so u = h - y0
+            lu = add(lh, ly + half)
+        return 2 + _chi(lu) * (1 + _chi(add(lx, lneg_xp)) * _chi(add(lx, lneg_xq)))
 
-    coeffs = (base.coeffs(), cover.h, cover.big_f)
-    logs = [_orbit_logs(field, c) for c in coeffs]
+    coeffs = (base.coeffs(), cover.h)
     total = fiber(ZERO_LOG, *(log[c[0]] for c in coeffs))
     reps, sizes = field.frobenius_orbits()
-    for lx, size, lf, lh, lg in zip(reps, sizes, *logs):
-        total += size * fiber(lx, lf, lh, lg)
+    for lx, size, lf, lh in zip(reps, sizes, *(_orbit_logs(field, c) for c in coeffs)):
+        total += size * fiber(lx, lf, lh)
     lam = cover.h[-1] * pow(base.lead, base.genus + 1, p) % p
     total += 1 + _chi(log[lam])
     return total

@@ -7,6 +7,7 @@ from prymcover import jsonio
 from prymcover.cli import main
 from prymcover.covers import beta_tuples, curve_through_betas, prym_curve_equation
 from prymcover.curves import CurvePoint, make_curve
+from prymcover.finitefield import _FIELD_CACHE
 from prymcover.points import CandidateSet
 
 E1_JSON = {"lead": "1", "roots": ["-1/3", "9/8", "25/24"]}
@@ -97,6 +98,19 @@ class TestPrymCheck:
             by_p.setdefault(cell["p"], []).append(cell)
         assert all("skipped" in c for c in by_p[3])
         assert all("report" in c for c in by_p[13])
+
+    def test_two_primes_emit_tuple_major(self, capsys, e1_file):
+        # The cells run prime-major, so that only the last prime's fields
+        # stay cached, and are emitted tuple-major.
+        code, out = _run(capsys, [
+            "prym-check", e1_file, "--p", "1,1/12", "--q", "0,5/8",
+            "--primes", "17,13",
+        ])
+        assert code == 0
+        assert [(c["tuple"], c["p"]) for c in out["cells"]] == [
+            (i, p) for i in range(4) for p in (17, 13)
+        ]
+        assert {key[0] for key in _FIELD_CACHE} == {13}
 
     def test_even_prime_exits_2(self, capsys, e1_file):
         code, _ = _run(capsys, [

@@ -2,8 +2,9 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from prymcover.covers import beta_tuples, reconstruct_h_f
+from prymcover.covers import beta_tuples, curve_through_betas, reconstruct_h_f
 from prymcover.curves import CurvePoint, make_curve
 from prymcover.errors import InternalCheckError
 from prymcover.finitefield import _FIELD_CACHE, get_field
@@ -66,8 +67,11 @@ def reference_count_points(ffc: FFCurve, deg: int) -> int:
 
 def reference_count_double_cover(cover, deg: int) -> int:
     """count_double_cover by definition, over every x with the definitional
-    arithmetic: each y with y^2 = f(x) is found by enumeration, and the
-    fiber rule of the docstring is applied to y + h(x)."""
+    arithmetic: each y with y^2 = f(x) is found by enumeration and counts
+    1 + chi(y + h(x)) where y + h(x) != 0.  Where y + h vanishes, F is
+    evaluated: above a root of F the smooth model has
+    1 + chi((x - x_P)(x - x_Q) * 2h(x)) points, elsewhere the ramified point
+    counts 1.  This is independent of the norm identity the code uses."""
     base, field = cover.base, get_field(cover.base.p, deg)
     squares = [(y, field.mul(y, y)) for y in field.element_list()]
     xp, xq, two = field.embed(cover.x_p), field.embed(cover.x_q), field.embed(2)
@@ -273,6 +277,50 @@ class TestAgainstDefinition:
             count_double_cover(bad, 1)
 
 
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+# Betas that curve_through_betas accepts: nonzero, not +-1, squares distinct.
+BETAS = st.integers(1, 2).flatmap(
+    lambda g: st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(
+            lambda b: b * b not in (0, 1)
+        ),
+        min_size=2 * g + 1,
+        max_size=2 * g + 1,
+        unique_by=lambda b: b * b,
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    betas=BETAS,
+    cell=st.integers(0, 15),
+    start=st.sampled_from(SMALL_PRIMES),
+    deg=st.sampled_from((1, 2)),
+)
+# F = 8 + 11x + x^2 mod 13 has discriminant 11, a nonresidue: the double
+# zeros of y + h lie off F_13 and show up over F_169.
+@example(betas=[F(2), F(3), F(1, 2), F(5), F(1, 3)], cell=0, start=13, deg=1)
+@example(betas=[F(2), F(3), F(1, 2), F(5), F(1, 3)], cell=0, start=13, deg=2)
+def test_count_double_cover_matches_reference_on_random_covers(betas, cell, start, deg):
+    """Genus-1 and genus-2 covers from curve_through_betas, at the first prime
+    from `start` on (wrapping round) where the cover reduces."""
+    curve, p_pt, q_pt = curve_through_betas(betas)
+    tuples = beta_tuples(curve, p_pt, q_pt)
+    cert = reconstruct_h_f(tuples[cell % len(tuples)])
+    covers = {}
+    for p in SMALL_PRIMES:
+        try:
+            covers[p] = reduce_cover(cert, p)
+        except ValueError:
+            pass
+    assume(covers)
+    p = next((q for q in covers if q >= start), min(covers))
+    assert count_double_cover(covers[p], deg) == reference_count_double_cover(
+        covers[p], deg
+    ), (betas, cell, p, deg)
+
+
 class TestLPolynomial:
     def test_genus1_example(self):
         lp = l_polynomial(5, [8], 1)
@@ -374,6 +422,14 @@ class TestPrymProductCheck:
         for t in beta_tuples(G2, G2_P, G2_Q):
             assert prym_product_check(reconstruct_h_f(t), 101).matched_twists, t.betas
         assert not [key for key in _FIELD_CACHE if key[0] == 101 and key[1] > 2]
+
+    def test_fields_of_one_prime_stay_cached(self):
+        # Building a field of a new characteristic drops the fields cached
+        # before, so memory is bounded by one prime's tables.
+        cert = reconstruct_h_f(beta_tuples(G2, G2_P, G2_Q)[0])
+        for p in (17, 19):
+            prym_product_check(cert, p)
+        assert sorted(_FIELD_CACHE) == [(19, 1), (19, 2)]
 
     def test_inconsistent_cover_counts_raise(self, monkeypatch):
         # Cover counts that no isogeny factor explains: L_prym fails the
