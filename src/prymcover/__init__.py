@@ -81,6 +81,7 @@ from .zeta import (
     prym_product_check,
     reduce_cover,
     reduce_curve,
+    split_l_polynomial,
 )
 
 __version__ = "0.1.0"

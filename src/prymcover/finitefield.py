@@ -15,15 +15,17 @@ logarithms, after Huber, IEEE Trans. IT 36, 1990): three `array('i')` tables,
 built once per field on first use, map log -> code, code -> log (with
 ZERO_LOG for zero) and i -> log(1 + g^i).  A product is a sum of logs modulo
 q - 1, a sum is one Zech lookup, the quadratic character is the parity of
-the log and a square root halves it.  The definitional arithmetic (`add`,
-`mul`, `pow`, `inv`) never reads those tables: it builds them and, with the
-definitional character `chi`, serves as the oracle the tests check them
-against.
+the log and a square root halves it.  `zech_parity` packs the parities of
+the Zech table into one int, so the character of x + c for every x at once
+is a rotation of it.  The definitional arithmetic (`add`, `mul`, `pow`,
+`inv`) never reads those tables: it builds them and, with the definitional
+character `chi`, serves as the oracle the tests check them against.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from array import array
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -136,6 +138,7 @@ class FiniteField:
         self.modulus = least_irreducible(p, deg)
         self._logs: Optional[LogTables] = None
         self._orbits: Optional[Tuple[array, array]] = None
+        self._zech_parity: Optional[int] = None
 
     def embed(self, a: int) -> int:
         """Image of an integer under Z -> F_p -> F_{p^deg}."""
@@ -217,9 +220,35 @@ class FiniteField:
             raise InternalCheckError(
                 f"powers of the generator of {self!r} miss a nonzero element"
             )
-        top = p - 1
-        zech = array("i", [log[c - top if c % p == top else c + 1] for c in exp])
+        # zech[i] = log(g^i + 1).  Adding 1 steps the constant digit, which
+        # wraps from p - 1 to 0 inside each block of p codes, so the log of
+        # c + 1 by code is each block of `log` rotated by one; a gather of
+        # that array by `exp` gives zech without a q-long list of ints.
+        log_succ = array("i")
+        for b in range(0, q, p):
+            log_succ += log[b + 1 : b + p]
+            log_succ.append(log[b])
+        zech = array("i", map(log_succ.__getitem__, exp))
         return LogTables(exp, log, zech)
+
+    def zech_parity(self) -> int:
+        """The quadratic character of 1 + g^i in log order, as one int: bit
+        i is set where 1 + g^i is a nonsquare, and clear at its one zero,
+        i = (q - 1)/2.  For c in F_p^*, g^i + c = c (1 + g^(i - log c)), so the
+        character of x + c at every x = g^i is this int rotated left by
+        log c, complemented when c is a nonsquare.  Built from the Zech table
+        on first use and kept on the field, q bits."""
+        if self._zech_parity is None:
+            self._check_odd()
+            zech = self.logs().zech
+            size = zech.itemsize
+            # The low byte of each entry carries its parity (ZERO_LOG = -1
+            # reads odd and is cleared below).
+            first = 0 if sys.byteorder == "little" else size - 1
+            low = zech.tobytes()[first::size]
+            digits = low.translate(bytes(48 + (b & 1) for b in range(256)))
+            self._zech_parity = int(digits[::-1], 2) & ~(1 << (len(zech) // 2))
+        return self._zech_parity
 
     def frobenius_orbits(self) -> Tuple[array, array]:
         """Orbits of x -> x^p on the nonzero elements, as logs: the orbit of

@@ -10,15 +10,18 @@ appear throughout:
 
 Criterion 3 needs a caveat.  On E1 the Jacobian product identity singles
 out exactly one quadratic twist in every cell at the primes 13, 17 and 29.
-On G2 ten of the sixteen cells have a Prym model whose Frobenius trace
-vanishes at every usable odd prime (character-sum scans up to p = 229
-found no clean prime, and cell cost grows like p^g), and a vanishing trace
-makes the two twists share one L-polynomial, so no point count over any
-extension field can separate them.  The main test therefore pins the
-exact degeneracy pattern: uniqueness wherever the twist orders differ,
+On G2 at p = 17, ten of the sixteen cells have a Prym model whose Frobenius
+trace vanishes, and a vanishing trace makes the two twists share one
+L-polynomial, so no point count over any extension of F_17 can separate
+them.  Which cells degenerate depends on the prime: every cell has exactly
+one matching twist at some prime <= 37, but no usable prime <= 229
+separates all sixteen at once.  The main test therefore pins the exact
+degeneracy pattern at p = 17: uniqueness wherever the twist orders differ,
 both twists matching wherever they agree, and precisely ten degenerate
-cells at p = 17.  test_criterion_3_strict_twist_uniqueness keeps the
-literal one-twist-per-cell claim visible as a strict expected failure.
+cells.  test_criterion_3_each_cell_separates_below_38 pins each cell's
+least separating prime, and test_criterion_3_strict_twist_uniqueness keeps
+the literal one-twist-per-cell claim at p = 17 visible as a strict expected
+failure.
 """
 
 import hashlib
@@ -65,10 +68,11 @@ from prymcover.points import (
     recover_points_detailed,
 )
 from prymcover.polys import Poly, RatFunc
-from prymcover.scalars import rat_ord_p, rational_prime_support
+from prymcover.scalars import is_prime, rat_ord_p, rational_prime_support
 from prymcover.zeta import (
     count_double_cover,
     l_polynomial,
+    prym_check_obstruction,
     prym_product_check,
     reduce_cover,
 )
@@ -283,13 +287,41 @@ def test_criterion_3_derived_cover_counts_match_counted(g2_twist_reports):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ten genus-2 cells have a trace-zero Prym model at every usable odd"
-    " prime, so both quadratic twists share one L-polynomial and no point"
-    " count can separate them",
+    reason="at p = 17 ten genus-2 cells have a trace-zero Prym model, so both"
+    " quadratic twists share one L-polynomial and no count over an extension"
+    " of F_17 can separate them; no usable prime <= 229 separates all sixteen",
 )
 def test_criterion_3_strict_twist_uniqueness(g2_twist_reports):
     reports, _ = g2_twist_reports
     assert all(len(rep.matched_twists) == 1 for rep in reports)
+
+
+# The least prime at which exactly one quadratic twist of each G2 cell's
+# Prym model satisfies the product identity.
+G2_LEAST_SEPARATING_PRIME = {
+    1: 17, 2: 17, 3: 17, 4: 17, 8: 17, 12: 17,
+    5: 19, 11: 19, 14: 19,
+    6: 29, 7: 29, 9: 29, 15: 29,
+    0: 37, 10: 37, 13: 37,
+}
+
+
+def test_criterion_3_each_cell_separates_below_38():
+    # The cells whose twists share an L-polynomial at p = 17 do not do so at
+    # every prime: each cell matches both twists at every smaller prime it
+    # can use and exactly one at its least separating prime.
+    tuples = beta_tuples(G2, G2_P, G2_Q)
+    assert sorted(G2_LEAST_SEPARATING_PRIME) == list(range(len(tuples)))
+    failures = []
+    for k, least in sorted(G2_LEAST_SEPARATING_PRIME.items()):
+        cert = reconstruct_h_f(tuples[k])
+        for p in range(3, least + 1, 2):
+            if not is_prime(p) or (p < least and prym_check_obstruction(cert, p)):
+                continue
+            matched = prym_product_check(cert, p).matched_twists
+            if len(matched) != (1 if p == least else 2):
+                failures.append("cell %d at p=%d matched %r" % (k, p, matched))
+    assert not failures, failures
 
 
 def test_criterion_4_special_prime_valuations():

@@ -173,6 +173,17 @@ class TestLogTables:
                 else:
                     assert tabs.exp[tabs.zech[i]] == s
 
+    def test_zech_parity_matches_definitional_character(self):
+        # Bit i is set exactly where 1 + g^i is a nonsquare, by the power-map
+        # character; its one zero, 1 + g^i = 0, reads clear.
+        for p, deg in LOG_FIELDS:
+            f = get_field(p, deg)
+            parity = f.zech_parity()
+            assert parity >> (f.order - 1) == 0
+            for i, c in enumerate(f.logs().exp):
+                assert parity >> i & 1 == (f.chi(f.add(1, c)) == -1), (p, deg, i)
+            assert f.zech_parity() is parity
+
     def test_log_add_every_pair(self):
         f = get_field(5, 2)
         tabs = f.logs()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -6,10 +9,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from prymcover.covers import beta_tuples, curve_through_betas, reconstruct_h_f
 from prymcover.curves import CurvePoint, make_curve
+import prymcover
+import prymcover.zeta as zeta
 from prymcover.errors import InternalCheckError
-from prymcover.finitefield import _FIELD_CACHE, get_field
+from prymcover.finitefield import _FIELD_CACHE, ZERO_LOG, FiniteField, get_field
 from prymcover.zeta import (
     FFCurve,
+    LPoly,
     count_double_cover,
     count_points,
     jacobian_order,
@@ -19,6 +25,7 @@ from prymcover.zeta import (
     ReducedCover,
     reduce_cover,
     reduce_curve,
+    split_l_polynomial,
 )
 
 E1 = make_curve([F(-1, 3), F(9, 8), F(25, 24)])
@@ -73,14 +80,16 @@ def reference_count_double_cover(cover, deg: int) -> int:
     1 + chi((x - x_P)(x - x_Q) * 2h(x)) points, elsewhere the ramified point
     counts 1.  This is independent of the norm identity the code uses."""
     base, field = cover.base, get_field(cover.base.p, deg)
-    squares = [(y, field.mul(y, y)) for y in field.element_list()]
+    roots_of = {}
+    for y in field.element_list():
+        roots_of.setdefault(field.mul(y, y), []).append(y)
     xp, xq, two = field.embed(cover.x_p), field.embed(cover.x_q), field.embed(2)
     total = 0
     for x in field.element_list():
         fx = _horner(field, base.coeffs(), x)
         hx = _horner(field, cover.h, x)
         gx = _horner(field, cover.big_f, x)
-        for y in [y for y, s in squares if s == fx]:
+        for y in roots_of.get(fx, ()):
             u = field.add(y, hx)
             if u != 0:
                 total += 1 + field.chi(u)
@@ -92,6 +101,41 @@ def reference_count_double_cover(cover, deg: int) -> int:
                 total += 1
     lam = cover.h[-1] * pow(base.lead, base.genus + 1, base.p)
     return total + 1 + field.chi(field.embed(lam))
+
+
+def orbit_count_double_cover(cover, deg: int) -> int:
+    """count_double_cover by the per-orbit route it replaced: the fiber rule
+    at x = 0 and at every Frobenius orbit representative, with f and h
+    evaluated by Horner on logs at each of them and the characters of d
+    taken by Zech steps."""
+    base = cover.base
+    p = base.p
+    field = get_field(p, deg)
+    tabs = field.logs()
+    log, add = tabs.log, tabs.add
+    half = (field.order - 1) // 2
+    lneg_xp, lneg_xq = log[-cover.x_p % p], log[-cover.x_q % p]
+    chi = zeta._chi
+
+    def fiber(lx, lf, lh):
+        if lf < 0:
+            return 1 + chi(lh)
+        if lf & 1:
+            return 0
+        ly = lf >> 1
+        lu = add(lh, ly)
+        if lu < 0:
+            lu = add(lh, ly + half)
+        return 2 + chi(lu) * (1 + chi(add(lx, lneg_xp)) * chi(add(lx, lneg_xq)))
+
+    coeffs = (base.coeffs(), cover.h)
+    total = fiber(ZERO_LOG, *(log[c[0]] for c in coeffs))
+    reps, sizes = field.frobenius_orbits()
+    logs = [zeta._horner_logs(field, c, reps) for c in coeffs]
+    for lx, size, lf, lh in zip(reps, sizes, *logs):
+        total += size * fiber(lx, lf, lh)
+    lam = cover.h[-1] * pow(base.lead, base.genus + 1, p) % p
+    return total + 1 + chi(log[lam])
 
 
 class TestReduce:
@@ -242,9 +286,9 @@ class TestAgainstDefinition:
     def _check(self, covers, degrees):
         for k, cover in enumerate(covers):
             for deg in degrees:
-                assert count_double_cover(cover, deg) == reference_count_double_cover(
-                    cover, deg
-                ), (cover.base.p, k, deg)
+                counted = count_double_cover(cover, deg)
+                assert counted == reference_count_double_cover(cover, deg), (cover.base.p, k, deg)
+                assert counted == orbit_count_double_cover(cover, deg), (cover.base.p, k, deg)
                 assert count_points(cover.base, deg) == reference_count_points(
                     cover.base, deg
                 ), (cover.base.p, k, deg)
@@ -257,10 +301,20 @@ class TestAgainstDefinition:
         self._check(self._covers(G2, G2_P, G2_Q, 17), (1, 2))
 
     def test_orbits_of_size_three(self):
-        from prymcover.covers import curve_through_betas
-
         curve, p_pt, q_pt = curve_through_betas((F(2), F(3), F(7)))
         self._check(self._covers(curve, p_pt, q_pt, 7), (1, 2, 3))
+
+    def test_orbits_of_size_four(self):
+        curve, p_pt, q_pt = curve_through_betas((F(2), F(3), F(7)))
+        self._check(self._covers(curve, p_pt, q_pt, 7)[:1], (4,))
+
+    def test_bitset_route_matches_the_orbit_route_on_larger_fields(self):
+        # Fields too large for the definitional reference: G2 over F_{101^2}
+        # and E1 over F_{29^3}.
+        cases = [(c, 2) for c in self._covers(G2, G2_P, G2_Q, 101)]
+        cases += [(c, 3) for c in self._covers(E1, E1_P, E1_Q, 29)]
+        for k, (cover, deg) in enumerate(cases):
+            assert count_double_cover(cover, deg) == orbit_count_double_cover(cover, deg), k
 
     def test_prym_models_and_even_degree(self):
         for ffc, deg in (
@@ -291,20 +345,29 @@ BETAS = st.integers(1, 2).flatmap(
 )
 
 
+# The definitional reference walks every x of F_{p^k} with the definitional
+# arithmetic: about 0.7 s over 7^4 elements, so fields stop there.
+REFERENCE_FIELD_CAP = 7**4
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     betas=BETAS,
     cell=st.integers(0, 15),
     start=st.sampled_from(SMALL_PRIMES),
-    deg=st.sampled_from((1, 2)),
+    deg=st.integers(1, 4),
 )
 # F = 8 + 11x + x^2 mod 13 has discriminant 11, a nonresidue: the double
 # zeros of y + h lie off F_13 and show up over F_169.
 @example(betas=[F(2), F(3), F(1, 2), F(5), F(1, 3)], cell=0, start=13, deg=1)
 @example(betas=[F(2), F(3), F(1, 2), F(5), F(1, 3)], cell=0, start=13, deg=2)
+@example(betas=[F(2), F(3), F(1, 2), F(5), F(1, 3)], cell=0, start=13, deg=3)
+@example(betas=[F(5, 3), F(7, 2), F(2)], cell=0, start=7, deg=4)
 def test_count_double_cover_matches_reference_on_random_covers(betas, cell, start, deg):
     """Genus-1 and genus-2 covers from curve_through_betas, at the first prime
-    from `start` on (wrapping round) where the cover reduces."""
+    from `start` on (wrapping round) where the cover reduces and p^deg stays
+    within REFERENCE_FIELD_CAP; without one, at the first prime where it
+    reduces and the largest degree within the cap."""
     curve, p_pt, q_pt = curve_through_betas(betas)
     tuples = beta_tuples(curve, p_pt, q_pt)
     cert = reconstruct_h_f(tuples[cell % len(tuples)])
@@ -315,10 +378,111 @@ def test_count_double_cover_matches_reference_on_random_covers(betas, cell, star
         except ValueError:
             pass
     assume(covers)
-    p = next((q for q in covers if q >= start), min(covers))
-    assert count_double_cover(covers[p], deg) == reference_count_double_cover(
-        covers[p], deg
-    ), (betas, cell, p, deg)
+    order = sorted(covers, key=lambda q: (q < start, q))
+    p = next((q for q in order if q**deg <= REFERENCE_FIELD_CAP), order[0])
+    while p**deg > REFERENCE_FIELD_CAP:
+        deg -= 1
+    counted = count_double_cover(covers[p], deg)
+    assert counted == reference_count_double_cover(covers[p], deg), (betas, cell, p, deg)
+    assert counted == orbit_count_double_cover(covers[p], deg), (betas, cell, p, deg)
+
+
+SPLIT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def split_models(draw):
+    """y^2 = lead * prod (x - r_i) over F_p, p <= 31, with 3 to 8 distinct
+    roots (genus 1 to 3, odd and even degree) and any nonzero lead."""
+    p = draw(st.sampled_from(SPLIT_PRIMES))
+    n = draw(st.integers(3, min(8, p)))
+    roots = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True))
+    return FFCurve(p, tuple(roots), draw(st.integers(1, p - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ffc=split_models())
+# Genus 3, even and odd degree, nonsquare leads (3 mod 31, 2 mod 29).
+@example(ffc=FFCurve(31, (0, 1, 3, 7, 12, 16, 20, 30), 3))
+@example(ffc=FFCurve(29, (0, 2, 5, 11, 17, 23, 28), 2))
+def test_split_l_polynomial_matches_the_counted_route(ffc):
+    g = ffc.genus
+    counts = [count_points(ffc, k) for k in range(1, g + 1)]
+    assert split_l_polynomial(ffc) == l_polynomial(ffc.p, counts, g)
+
+
+class TestSplitLPolynomial:
+    def test_known_numerators(self):
+        # y^2 = x^3 - x over F_5 has 8 points, so L = 1 + 2u + 5u^2.
+        assert split_l_polynomial(FFCurve(5, (0, 1, 4))).coeffs == (1, 2, 5)
+        # Its twist by the nonsquare 2 has 4 points: L = 1 - 2u + 5u^2.
+        assert split_l_polynomial(FFCurve(5, (0, 1, 4), 2)).coeffs == (1, -2, 5)
+
+    def test_builds_no_field(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a field or a table count was used")
+
+        monkeypatch.setattr(FiniteField, "__init__", refuse)
+        monkeypatch.setattr(zeta, "count_points", refuse)
+        ffc = FFCurve(1021, (1, 2, 3, 5, 8, 13), 10)
+        lp = split_l_polynomial(ffc)
+        assert jacobian_order(ffc) == lp.order() > 0
+        assert lp.coeffs[4] == 1021**2
+
+    def test_genus_zero_and_huge_fields_refused(self):
+        with pytest.raises(ValueError, match="genus must be at least 1"):
+            split_l_polynomial(FFCurve(7, (0, 1)))
+        with pytest.raises(ValueError, match="more than MAX_FIELD_ORDER"):
+            split_l_polynomial(FFCurve(1031, (0, 1, 2, 3, 4)))
+
+    def test_bad_numerator_is_an_internal_failure(self, monkeypatch):
+        # Counts that violate the Weil bound cannot come from a curve.
+        counts = LPoly.counts
+        monkeypatch.setattr(
+            LPoly, "counts", lambda self, n: tuple(c + 1000 for c in counts(self, n))
+        )
+        with pytest.raises(InternalCheckError, match="split-model numerator"):
+            split_l_polynomial(FFCurve(13, (4, 6, 7)))
+
+    def test_prym_check_counts_only_the_cover(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_points was called")
+
+        cert = reconstruct_h_f(beta_tuples(G2, G2_P, G2_Q)[0])
+        want = prym_product_check(cert, 19)
+        monkeypatch.setattr(zeta, "count_points", refuse)
+        assert prym_product_check(cert, 19) == want
+
+
+def test_cover_count_memory_over_f_p2_near_1000():
+    # One cover count over F_{1021^2}, 1042441 elements, in a fresh process:
+    # growth of the peak RSS across the count, which builds the field.
+    # Measured 21.6 MB (three runs); the per-orbit route with a q-long list
+    # for the Zech table took 60.5 MB.
+    code = (
+        "import resource\n"
+        "from fractions import Fraction as F\n"
+        "from prymcover.covers import beta_tuples, reconstruct_h_f\n"
+        "from prymcover.curves import CurvePoint, make_curve\n"
+        "from prymcover.zeta import count_double_cover, reduce_cover\n"
+        "curve = make_curve([F(-1, 3), F(9, 8), F(25, 24), F(4, 3), F(49, 48)])\n"
+        "p, q = CurvePoint.affine(1, F(1, 144)), CurvePoint.affine(0, F(35, 48))\n"
+        "cover = reduce_cover(reconstruct_h_f(beta_tuples(curve, p, q)[0]), 1021)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "count = count_double_cover(cover, 2)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(count, before, after)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prymcover.__file__)))
+    path = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, before, after = map(int, proc.stdout.split())
+    assert count == 1044450
+    assert (after - before) / 1024 < 26.0, (before, after)
 
 
 class TestLPolynomial:
